@@ -59,10 +59,11 @@ class ProbDist:
 
     The underlying array is validated on construction (non-negative entries
     summing to one within ``PROB_SUM_TOL``) and then frozen, so instances can
-    be shared without defensive copies.
+    be shared without defensive copies.  The cumulative sums that
+    :func:`sample` searches are computed on first use and frozen too.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_cdf")
 
     def __init__(self, probs: np.ndarray | Sequence[float]) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -75,6 +76,15 @@ class ProbDist:
             raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         arr.setflags(write=False)
         self.probs = arr
+        self._cdf: np.ndarray | None = None
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """Read-only ``np.cumsum(probs)``, cached after the first use."""
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.probs)
+            self._cdf.setflags(write=False)
+        return self._cdf
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -171,8 +181,7 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
     sampled exactly.
     """
     u = rng.uniform()
-    cum = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = int(np.searchsorted(dist.cdf, u, side="right"))
     if idx >= len(dist):
         # u landed past a cumulative sum that rounded slightly below 1.
         idx = int(np.flatnonzero(dist.probs > 0.0)[-1])

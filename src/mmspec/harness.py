@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+import os
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -85,6 +86,7 @@ CHAT_PREAMBLE = (
 )
 CAPTION_INSTRUCTION = "Provide a detailed description of the given image"
 
+# Each report column prints the PromptRun field of the same name.
 CSV_COLUMNS = (
     "prompt_id",
     "gamma",
@@ -449,12 +451,13 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
     records = load_dataset(cfg.dataset)
     prompts = []
     for rec in records:
-        for tok in rec.image_ctx:
-            if not 0 <= tok < tokenizer.vocab.size:
-                raise ValueError(
-                    f"record {rec.prompt_id!r}: image token {tok} outside vocab of size "
-                    f"{tokenizer.vocab.size}"
-                )
+        for kind, ids in (("image", rec.image_ctx), ("prompt", rec.tokens or ())):
+            for tok in ids:
+                if not 0 <= tok < tokenizer.vocab.size:
+                    raise ValueError(
+                        f"{cfg.dataset}: record {rec.prompt_id!r}: {kind} token {tok} outside "
+                        f"vocab of size {tokenizer.vocab.size}"
+                    )
         rendered = render_template(cfg.template, rec, tokenizer)
         prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=rendered.tokens))
     return _RunContext(tokenizer, target, draft, records, prompts)
@@ -550,43 +553,23 @@ def _fmt(value) -> str:
 
 
 def _write_report(report: RunReport, out_dir: Path) -> None:
+    """Write ``report.csv`` and ``report.json`` atomically: both go to
+    temporary files in ``out_dir`` that ``os.replace`` moves into place once
+    both are written, so a failure leaves any previous report intact."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "report.csv"
-    json_path = out_dir / "report.json"
+    csv_tmp, json_tmp = (out_dir / f".report.{ext}.{os.getpid()}.tmp" for ext in ("csv", "json"))
     try:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        with open(csv_tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for r in report.runs:
-                writer.writerow(
-                    [
-                        r.prompt_id,
-                        r.gamma,
-                        r.mode,
-                        r.tokens,
-                        r.target_calls,
-                        _fmt(r.tau),
-                        _fmt(r.mbsu),
-                        _fmt(r.mbsu_c_scaled),
-                        _fmt(r.wall_time_s),
-                    ]
-                )
-        payload = {
-            "config": report.config,
-            "per_gamma": [
-                {
-                    "gamma": a.gamma,
-                    "mean_tau": a.mean_tau,
-                    "mean_mbsu": a.mean_mbsu,
-                    "token_rate_ratio": a.token_rate_ratio,
-                }
-                for a in report.aggregates
-            ],
-        }
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            writer.writerows([_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in report.runs)
+        payload = {"config": report.config, "per_gamma": [asdict(a) for a in report.aggregates]}
+        json_tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(csv_tmp, out_dir / "report.csv")
+        os.replace(json_tmp, out_dir / "report.json")
     except BaseException:
-        # Never leave half-written reports behind.
-        for path in (csv_path, json_path):
+        # Never leave temporary files behind.
+        for path in (csv_tmp, json_tmp):
             path.unlink(missing_ok=True)
         raise
 

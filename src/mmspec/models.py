@@ -21,7 +21,6 @@ __all__ = [
     "BOS",
     "BlockTooLongError",
     "EmptyCorpusError",
-    "LanguageModel",
     "ModelFormatError",
     "MultimodalTargetLm",
     "NGRAM_FORMAT",
@@ -54,31 +53,71 @@ class ModelFormatError(ValueError):
 
 
 # --------------------------------------------------------------------------- #
-#  Flat-prefix models
+#  Flat-prefix model
 # --------------------------------------------------------------------------- #
 
 
-class LanguageModel:
-    """Base class for token-level models over a fixed vocabulary.
+class NgramLm:
+    """Order-n model with additive smoothing over a fixed vocabulary.
 
-    ``calls`` counts public queries — ``next_dist`` and ``score_block`` each
-    add exactly one, however long the block.  It is the only mutable state on
-    a model and is owned by whichever run holds the instance; share a model
-    across concurrent runs and the counts become meaningless.
+    The context window is the last ``order - 1`` prefix tokens, left-padded
+    with :data:`BOS` when the prefix is shorter.  A context never seen in
+    training yields the uniform distribution; otherwise
+    ``(count + alpha) / (total + alpha * V)``.
+
+    Each context's row is built and validated on its first query, then
+    memoized; unseen contexts share one uniform row.  The memo never changes
+    an answer.  ``calls`` counts public queries (``next_dist`` and
+    ``score_block`` add one each, however long the block) and is owned by
+    whichever run holds the instance.
     """
 
-    def __init__(self, vocab: Vocab) -> None:
+    def __init__(
+        self,
+        vocab: Vocab,
+        order: int,
+        alpha: float,
+        counts: dict[tuple[TokenId, ...], np.ndarray],
+    ) -> None:
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        if not alpha > 0:
+            raise ValueError(f"smoothing alpha must be > 0, got {alpha}")
         self.vocab = vocab
         self.calls = 0
+        self.order = order
+        self.alpha = float(alpha)
+        self._counts = counts
+        self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
+        self._rows: dict[tuple[TokenId, ...], ProbDist] = {}
 
-    def _dist(self, prefix: tuple[TokenId, ...]) -> np.ndarray:
-        """Raw next-token probabilities for a prefix (no call accounting)."""
-        raise NotImplementedError
+    def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
+        """BOS-padded window of the last ``order - 1`` prefix tokens."""
+        need = self.order - 1
+        if need == 0:
+            return ()
+        window = tuple(prefix[-need:])
+        if len(window) < need:
+            window = (BOS,) * (need - len(window)) + window
+        return window
+
+    def _row(self, context: tuple[TokenId, ...]) -> ProbDist:
+        """Memoized next-token distribution for a context window."""
+        row = self._rows.get(context)
+        if row is None:
+            counts = self._counts.get(context)
+            if counts is None:
+                row = self._uniform
+            else:
+                total = int(counts.sum())
+                row = ProbDist((counts + self.alpha) / (total + self.alpha * self.vocab.size))
+            self._rows[context] = row
+        return row
 
     def next_dist(self, prefix: Sequence[TokenId]) -> ProbDist:
         """Distribution over the next token after ``prefix``."""
         self.calls += 1
-        return ProbDist(self._dist(tuple(prefix)))
+        return self._row(self.context(prefix))
 
     def score_block(
         self,
@@ -102,52 +141,9 @@ class LanguageModel:
         if max_block is not None and len(block) > max_block:
             raise BlockTooLongError(f"block of {len(block)} tokens exceeds limit {max_block}")
         self.calls += 1
-        prefix = tuple(prefix)
-        return [ProbDist(self._dist(prefix + block[:j])) for j in range(len(block) + 1)]
-
-
-class NgramLm(LanguageModel):
-    """Order-n model with additive smoothing over a fixed vocabulary.
-
-    The context window is the last ``order - 1`` prefix tokens, left-padded
-    with :data:`BOS` when the prefix is shorter.  A context never seen in
-    training yields the uniform distribution; otherwise
-    ``(count + alpha) / (total + alpha * V)``.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocab,
-        order: int,
-        alpha: float,
-        counts: dict[tuple[TokenId, ...], np.ndarray],
-    ) -> None:
-        super().__init__(vocab)
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if not alpha > 0:
-            raise ValueError(f"smoothing alpha must be > 0, got {alpha}")
-        self.order = order
-        self.alpha = float(alpha)
-        self._counts = counts
-        self._uniform = np.full(vocab.size, 1.0 / vocab.size)
-
-    def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
-        """BOS-padded window of the last ``order - 1`` prefix tokens."""
+        window = self.context(prefix) + block
         need = self.order - 1
-        if need == 0:
-            return ()
-        window = tuple(prefix[-need:])
-        if len(window) < need:
-            window = (BOS,) * (need - len(window)) + window
-        return window
-
-    def _dist(self, prefix: tuple[TokenId, ...]) -> np.ndarray:
-        counts = self._counts.get(self.context(prefix))
-        if counts is None:
-            return self._uniform
-        total = int(counts.sum())
-        return (counts + self.alpha) / (total + self.alpha * self.vocab.size)
+        return [self._row(window[j : j + need]) for j in range(len(block) + 1)]
 
 
 def train_ngram(
@@ -168,8 +164,6 @@ def train_ngram(
     seqs = [tuple(s) for s in corpus if len(s) > 0]
     if not seqs:
         raise EmptyCorpusError("training corpus has no non-empty sequences")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     need = order - 1
     counts: dict[tuple[TokenId, ...], np.ndarray] = {}
     for seq in seqs:
@@ -214,7 +208,10 @@ def load_ngram(path: str | Path) -> NgramLm:
     """Read an ``ngram-v1`` model file back into an NgramLm.
 
     Raises:
-        ModelFormatError: if the file is not valid ``ngram-v1``.
+        ModelFormatError: if the file is not valid ``ngram-v1``, including a
+            context of the wrong length or with an id outside the vocabulary
+            (other than :data:`BOS`), a repeated context, or a count row of
+            the wrong width or with a negative count.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -226,16 +223,27 @@ def load_ngram(path: str | Path) -> NgramLm:
         vocab = Vocab(size=int(payload["vocab_size"]), eos=int(payload["eos"]))
         order = int(payload["order"])
         alpha = float(payload["alpha"])
-        counts: dict[tuple[TokenId, ...], np.ndarray] = {}
-        for ctx, row in payload["counts"]:
-            arr = np.asarray(row, dtype=np.int64)
-            if arr.shape != (vocab.size,):
-                raise ModelFormatError(f"{path}: count row has {arr.size} entries, expected {vocab.size}")
-            arr.setflags(write=False)
-            counts[tuple(int(t) for t in ctx)] = arr
-    except (KeyError, TypeError) as exc:
+        contexts = [tuple(int(t) for t in ctx) for ctx, _ in payload["counts"]]
+        table = np.array([row for _, row in payload["counts"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
-    return NgramLm(vocab, order, alpha, counts)
+    if contexts and table.shape != (len(contexts), vocab.size):
+        raise ModelFormatError(f"{path}: count rows have shape {table.shape}, expected {vocab.size} entries each")
+    negative = np.flatnonzero(np.any(table < 0, axis=-1))
+    if negative.size:
+        raise ModelFormatError(f"{path}: count row for context {list(contexts[negative[0]])} has a negative count")
+    table.setflags(write=False)
+    counts: dict[tuple[TokenId, ...], np.ndarray] = {}
+    for ctx, row in zip(contexts, table):
+        if len(ctx) != order - 1 or any(t != BOS and not 0 <= t < vocab.size for t in ctx):
+            raise ModelFormatError(f"{path}: context {list(ctx)} is not {order - 1} ids in [0, {vocab.size}) or BOS")
+        if ctx in counts:
+            raise ModelFormatError(f"{path}: context {list(ctx)} appears twice")
+        counts[ctx] = row
+    try:
+        return NgramLm(vocab, order, alpha, counts)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -246,7 +254,7 @@ def load_ngram(path: str | Path) -> NgramLm:
 class PromptConditionedLm:
     """Adapts a flat-prefix model to ``(prompt, generated)`` queries."""
 
-    def __init__(self, base: LanguageModel) -> None:
+    def __init__(self, base: NgramLm) -> None:
         self.base = base
 
     @property

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: tokenizer, templates, datasets, runs."""
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 from statistics import fmean
@@ -508,6 +509,33 @@ class TestRunExperiment:
             run_experiment(demo_cfg, tmp_path)
         assert not (tmp_path / "report.csv").exists()
         assert not (tmp_path / "report.json").exists()
+
+    def test_out_of_vocab_prompt_tokens_rejected(self, demo_cfg, tmp_path):
+        """Pre-tokenized ids outside [0, V) would otherwise run, and -1 would
+        collide with the models' BOS padding."""
+        bad = tmp_path / "tokens.jsonl"
+        for tokens in ([999, 3], [-1, 3], [3, -5]):
+            bad.write_text(json.dumps({"id": "q7", "tokens": tokens}) + "\n", encoding="utf-8")
+            cfg = replace(demo_cfg, dataset=str(bad))
+            with pytest.raises(ValueError, match=r"tokens\.jsonl: record 'q7': prompt token"):
+                run_experiment(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("module, name", [(json, "dumps"), (os, "replace")])
+    def test_failed_rewrite_keeps_previous_report(self, demo_cfg, tmp_path, monkeypatch, module, name):
+        """A rewrite that fails, before or while files move into place,
+        leaves the previous report's bytes and no temporary file."""
+        run_experiment(demo_cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(before) == {"report.csv", "report.json"}
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(module, name, boom)
+        with pytest.raises(OSError):
+            run_experiment(replace(demo_cfg, gammas=(2,)), tmp_path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestQualitativeTrace:

@@ -1,11 +1,15 @@
 """Tests for n-gram models, block scoring, serialization, and prompt views."""
 
+import json
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from helpers import random_model, random_prompt, random_vocab
+from helpers import random_corpus, random_dist, random_model, random_prompt, random_vocab
 
-from mmspec.core import MultimodalPrompt, Vocab
+from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
 from mmspec.models import (
     BOS,
     BlockTooLongError,
@@ -64,18 +68,24 @@ class TestTrainNgram:
 
 class TestScoreBlock:
     def test_matches_sequential_next_dist(self):
-        """Block scoring equals one-at-a-time scoring entrywise within 1e-12."""
+        """Block scoring equals one-at-a-time scoring bit for bit, orders 1-4.
+
+        The sequential side uses its own model, so no row is shared through
+        the memo."""
         rng = np.random.default_rng(51)
-        for _ in range(30):
+        for trial in range(40):
             vocab = random_vocab(rng)
-            m = random_model(rng, vocab)
-            prefix = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 5))).tolist())
-            block = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 4))).tolist())
-            got = m.score_block(prefix, block)
+            order, alpha = 1 + trial % 4, float(rng.uniform(0.2, 1.5))
+            corpus = random_corpus(rng, vocab)
+            blocks = train_ngram(corpus, order, alpha, vocab)
+            steps = train_ngram(corpus, order, alpha, vocab)
+            prefix = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 7))).tolist())
+            block = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 8))).tolist())
+            got = blocks.score_block(prefix, block)
             assert len(got) == len(block) + 1
             for j in range(len(block) + 1):
-                want = m.next_dist(prefix + block[:j])
-                assert np.max(np.abs(got[j].probs - want.probs)) < 1e-12
+                want = steps.next_dist(prefix + block[:j])
+                np.testing.assert_array_equal(got[j].probs, want.probs)
 
     def test_counts_as_one_call(self):
         """Two consecutive score_block calls advance the counter by exactly 2."""
@@ -95,6 +105,76 @@ class TestScoreBlock:
         np.testing.assert_array_equal(
             m.score_block((0,), ())[0].probs, m.next_dist((0,)).probs
         )
+
+
+def reference_rows(corpus, order, alpha, vocab):
+    """Smoothed row per BOS-padded training context, counted by a plain loop."""
+    need = order - 1
+    counts = {}
+    for seq in corpus:
+        padded = [BOS] * need + list(seq)
+        for i, tok in enumerate(seq):
+            counts.setdefault(tuple(padded[i : i + need]), Counter())[tok] += 1
+    rows = {}
+    for ctx, counter in counts.items():
+        arr = np.array([counter[t] for t in range(vocab.size)], dtype=np.int64)
+        rows[ctx] = (arr + alpha) / (int(arr.sum()) + alpha * vocab.size)
+    return rows
+
+
+class TestRowMemo:
+    VOCAB = Vocab(size=6, eos=0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_rows_match_formula(self, order):
+        """Every trained context, an unseen one, and prefixes shorter than the
+        window give exactly ``(counts + alpha) / (total + alpha * V)``."""
+        rng = np.random.default_rng(60 + order)
+        # The corpus never uses the last id, so a window of it is unseen.
+        corpus = random_corpus(rng, Vocab(size=self.VOCAB.size - 1, eos=0))
+        m = train_ngram(corpus, order, 0.7, self.VOCAB)
+        rows = reference_rows(corpus, order, 0.7, self.VOCAB)
+        uniform = np.full(self.VOCAB.size, 1.0 / self.VOCAB.size)
+        for ctx, want in rows.items():
+            np.testing.assert_array_equal(m.next_dist(ctx).probs, want)
+            assert m.next_dist(ctx) is m.next_dist(ctx)
+        if order > 1:
+            unseen = (self.VOCAB.size - 1,) * (order - 1)
+            assert unseen not in rows
+            np.testing.assert_array_equal(m.next_dist(unseen).probs, uniform)
+        for k in range(order - 1):
+            prefix = tuple(rng.integers(0, self.VOCAB.size, k).tolist())
+            want = rows.get((BOS,) * (order - 1 - k) + prefix, uniform)
+            np.testing.assert_array_equal(m.next_dist(prefix).probs, want)
+
+    def test_rows_and_cdfs_are_read_only(self):
+        rng = np.random.default_rng(80)
+        m = random_model(rng, self.VOCAB, order=3)
+        dists = [m.next_dist([1, 2]), m.next_dist([5, 5, 5, 5]), *m.score_block([0], [1, 2])]
+        for d in dists:
+            for arr in (d.probs, d.cdf):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+            assert d.cdf is d.cdf
+
+    def test_sample_matches_fresh_cumsum_draw(self):
+        """Sampling through the cached cdf draws the ids a fresh
+        ``np.cumsum`` inverse-CDF draw would, over memoized rows."""
+        rng = np.random.default_rng(81)
+        m = random_model(rng, self.VOCAB, order=3)
+        dists = [random_dist(rng, self.VOCAB.size, allow_zeros=True) for _ in range(5)]
+        mine, ref = RngState(9, 4), RngState(9, 4)
+        for _ in range(2000):
+            if rng.random() < 0.8:
+                d = m.next_dist(rng.integers(0, self.VOCAB.size, 2).tolist())
+            else:
+                d = dists[int(rng.integers(0, len(dists)))]
+            u = ref.uniform()
+            want = int(np.searchsorted(np.cumsum(d.probs), u, side="right"))
+            if want >= len(d):
+                want = int(np.flatnonzero(d.probs > 0.0)[-1])
+            assert sample(d, mine) == want
 
 
 class TestSerialization:
@@ -130,6 +210,38 @@ class TestSerialization:
         p.write_text("not json at all")
         with pytest.raises(ModelFormatError):
             load_ngram(p)
+
+    @staticmethod
+    def write_order3(path, counts):
+        path.write_text(
+            json.dumps(
+                {"format": "ngram-v1", "order": 3, "alpha": 1.0, "vocab_size": 4, "eos": 0, "counts": counts}
+            )
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "counts, reason",
+        [
+            pytest.param([[[0, 1], [1, -5, 0, 0]]], "has a negative count", id="negative-count"),
+            pytest.param([[[1], [1, 0, 0, 0]]], "is not 2 ids", id="short-context"),
+            pytest.param([[[0, 1, 2], [1, 0, 0, 0]]], "is not 2 ids", id="long-context"),
+            pytest.param([[[0, 4], [1, 0, 0, 0]]], "is not 2 ids in", id="id-past-vocab"),
+            pytest.param([[[-2, 1], [1, 0, 0, 0]]], "is not 2 ids in", id="negative-id-not-bos"),
+            pytest.param(
+                [[[0, 1], [1, 0, 0, 0]], [[0, 1], [0, 1, 0, 0]]], "appears twice", id="repeated-context"
+            ),
+        ],
+    )
+    def test_rejects_bad_entry_naming_file(self, tmp_path, counts, reason):
+        p = self.write_order3(tmp_path / "bad-model.json", counts)
+        with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
+            load_ngram(p)
+
+    def test_bos_context_loads(self, tmp_path):
+        p = self.write_order3(tmp_path / "bos.json", [[[BOS, 2], [0, 3, 0, 0]]])
+        m = load_ngram(p)
+        np.testing.assert_allclose(m.next_dist([2]).probs, [1 / 7, 4 / 7, 1 / 7, 1 / 7])
 
     def test_rejects_bad_row_width(self, tmp_path):
         p = tmp_path / "bad.json"
