@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from mmspec.harness import (
@@ -45,11 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "gamma", None) is not None:
-        cfg.gammas = (args.gamma,)
-    return cfg
+    seed = cfg.seed if args.seed is None else args.seed
+    gammas = cfg.gammas if args.gamma is None else (args.gamma,)
+    return dataclasses.replace(cfg, seed=seed, gammas=gammas)  # validates the overrides too
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
         else:
             cfg = _load_config(args)
-            print(qualitative_trace(cfg, args.prompt_id, args.gamma))
+            print(qualitative_trace(cfg, args.prompt_id))
     except Exception as exc:  # surface a clean diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -119,28 +119,21 @@ class BlockRecord:
 
 @dataclass
 class BlockTrace:
-    """Call accounting for a generation run: one entry per target call."""
+    """Call accounting for a generation run: one block per target call."""
 
     blocks: list[BlockRecord] = field(default_factory=list)
-    target_calls: int = 0
-    draft_calls: int = 0
+
+    @property
+    def target_calls(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def draft_calls(self) -> int:
+        return sum(len(b.draft_tokens) for b in self.blocks)
 
     @property
     def total_emitted(self) -> int:
         return sum(len(b.emitted) for b in self.blocks)
-
-    @classmethod
-    def from_emission_counts(cls, counts: Sequence[int], gamma: int = 1) -> "BlockTrace":
-        """Build a skeletal trace from per-block emission counts (reporting
-        and tests only; token values are placeholders)."""
-        trace = cls()
-        for n in counts:
-            if n < 1:
-                raise ValueError(f"a block emits at least one token, got {n}")
-            trace.blocks.append(BlockRecord((0,) * gamma, min(n - 1, gamma), (0,) * n, "bonus"))
-            trace.target_calls += 1
-            trace.draft_calls += gamma
-        return trace
 
 
 # --------------------------------------------------------------------------- #
@@ -283,8 +276,6 @@ def spd_generate(
     while not done and len(out) < cfg.max_new_tokens:
         block = draft_block(draft, prompt, out, cfg.gamma, draft_rng, cfg.mode)
         target_dists = target.score_block(prompt, out, block.tokens, max_block=cfg.gamma)
-        trace.target_calls += 1
-        trace.draft_calls += len(block.tokens)
         if cfg.mode == "greedy":
             outcome = verify_greedy(target_dists, block)
         else:

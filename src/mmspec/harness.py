@@ -315,16 +315,15 @@ class ExperimentConfig:
     alphabet: str = DEFAULT_ALPHABET
 
     def __post_init__(self) -> None:
-        self.gammas = tuple(int(g) for g in self.gammas)
-        if not self.gammas or any(g < 1 for g in self.gammas):
-            raise ValueError(f"gammas must be a non-empty list of ints >= 1, got {self.gammas}")
-        if self.mode not in ("greedy", "stochastic"):
-            raise ValueError(f"mode must be 'greedy' or 'stochastic', got {self.mode!r}")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
-        CostModel(self.cost_c)  # bounds check
+        self.gammas = tuple(int(g) for g in self.gammas)
+        if not self.gammas:
+            raise ValueError("gammas must be a non-empty list")
+        for gamma in self.gammas:  # each rule is checked by the type that applies it
+            SpdConfig(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
+        CostModel(self.cost_c)
+        RngState(self.seed)
 
     @classmethod
     def from_dict(cls, obj: dict, base_dir: str | Path | None = None) -> "ExperimentConfig":
@@ -358,7 +357,10 @@ class ExperimentConfig:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        return cls.from_dict(obj, base_dir=path.parent)
+        try:
+            return cls.from_dict(obj, base_dir=path.parent)
+        except (TypeError, ValueError) as exc:  # a value of the wrong type raises TypeError
+            raise ValueError(f"{path}: {exc}") from exc
 
     def summary(self) -> dict:
         """Stable config echo for reports: file names, not absolute paths."""
@@ -530,7 +532,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
                     mode=cfg.mode,
                     tokens=len(spd),
                     target_calls=trace.target_calls,
-                    draft_calls=trace.draft_calls,
                     tau=tau,
                     mbsu=mbsu(tau, gamma, cost),
                     mbsu_c_scaled=mbsu_c_scaled(tau, gamma, cost),

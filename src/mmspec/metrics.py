@@ -122,7 +122,6 @@ class PromptRun:
     mode: str
     tokens: int
     target_calls: int
-    draft_calls: int
     tau: float
     mbsu: float
     mbsu_c_scaled: float

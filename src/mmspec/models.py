@@ -67,9 +67,7 @@ class NgramLm:
 
     Each context's row is built and validated on its first query, then
     memoized; unseen contexts share one uniform row.  The memo never changes
-    an answer.  ``calls`` counts public queries (``next_dist`` and
-    ``score_block`` add one each, however long the block) and is owned by
-    whichever run holds the instance.
+    an answer, so it is the model's only state and a pure cache.
     """
 
     def __init__(
@@ -84,7 +82,6 @@ class NgramLm:
         if not alpha > 0:
             raise ValueError(f"smoothing alpha must be > 0, got {alpha}")
         self.vocab = vocab
-        self.calls = 0
         self.order = order
         self.alpha = float(alpha)
         self._counts = counts
@@ -116,7 +113,6 @@ class NgramLm:
 
     def next_dist(self, prefix: Sequence[TokenId]) -> ProbDist:
         """Distribution over the next token after ``prefix``."""
-        self.calls += 1
         return self._row(self.context(prefix))
 
     def score_block(
@@ -130,9 +126,9 @@ class NgramLm:
 
         Returns ``len(block) + 1`` distributions: entry ``j`` conditions on
         ``prefix + block[:j]``, so the last entry covers the position after
-        the final block token.  Counts as a single model call regardless of
-        block length — that one-call accounting is what makes speculative
-        verification cheaper than token-by-token scoring.
+        the final block token.  It stands for a single target forward pass
+        regardless of block length — that one-call accounting is what makes
+        speculative verification cheaper than token-by-token scoring.
 
         Raises:
             BlockTooLongError: if ``max_block`` is given and exceeded.
@@ -140,7 +136,6 @@ class NgramLm:
         block = tuple(block)
         if max_block is not None and len(block) > max_block:
             raise BlockTooLongError(f"block of {len(block)} tokens exceeds limit {max_block}")
-        self.calls += 1
         window = self.context(prefix) + block
         need = self.order - 1
         return [self._row(window[j : j + need]) for j in range(len(block) + 1)]
@@ -209,9 +204,10 @@ def load_ngram(path: str | Path) -> NgramLm:
 
     Raises:
         ModelFormatError: if the file is not valid ``ngram-v1``, including a
-            context of the wrong length or with an id outside the vocabulary
-            (other than :data:`BOS`), a repeated context, or a count row of
-            the wrong width or with a negative count.
+            non-integer header value, context id or count, a context of the
+            wrong length or with an id outside the vocabulary (other than
+            :data:`BOS`), a repeated context, or a count row of the wrong
+            width or with a negative count.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -220,22 +216,24 @@ def load_ngram(path: str | Path) -> NgramLm:
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ModelFormatError(f"{path}: expected format {NGRAM_FORMAT!r}")
     try:
-        vocab = Vocab(size=int(payload["vocab_size"]), eos=int(payload["eos"]))
-        order = int(payload["order"])
+        size, eos, order = header = [payload[key] for key in ("vocab_size", "eos", "order")]
+        if any(type(value) is not int for value in header):
+            raise TypeError(f"vocab_size, eos and order must be integers, got {header}")
+        vocab = Vocab(size=size, eos=eos)
         alpha = float(payload["alpha"])
-        contexts = [tuple(int(t) for t in ctx) for ctx, _ in payload["counts"]]
-        table = np.array([row for _, row in payload["counts"]], dtype=np.int64)
+        contexts = [tuple(ctx) for ctx, _ in payload["counts"]]
+        table = np.array([row for _, row in payload["counts"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
-    if contexts and table.shape != (len(contexts), vocab.size):
-        raise ModelFormatError(f"{path}: count rows have shape {table.shape}, expected {vocab.size} entries each")
+    if contexts and (table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i"):
+        raise ModelFormatError(f"{path}: count rows must be {vocab.size} integers each, got {table.dtype} {table.shape}")
     negative = np.flatnonzero(np.any(table < 0, axis=-1))
     if negative.size:
         raise ModelFormatError(f"{path}: count row for context {list(contexts[negative[0]])} has a negative count")
     table.setflags(write=False)
     counts: dict[tuple[TokenId, ...], np.ndarray] = {}
     for ctx, row in zip(contexts, table):
-        if len(ctx) != order - 1 or any(t != BOS and not 0 <= t < vocab.size for t in ctx):
+        if len(ctx) != order - 1 or any(type(t) is not int or not (t == BOS or 0 <= t < vocab.size) for t in ctx):
             raise ModelFormatError(f"{path}: context {list(ctx)} is not {order - 1} ids in [0, {vocab.size}) or BOS")
         if ctx in counts:
             raise ModelFormatError(f"{path}: context {list(ctx)} appears twice")
@@ -254,6 +252,8 @@ def load_ngram(path: str | Path) -> NgramLm:
 class PromptConditionedLm:
     """Adapts a flat-prefix model to ``(prompt, generated)`` queries."""
 
+    sees_image: bool  # whether the flat prefix starts with the image context
+
     def __init__(self, base: NgramLm) -> None:
         self.base = base
 
@@ -261,13 +261,10 @@ class PromptConditionedLm:
     def vocab(self) -> Vocab:
         return self.base.vocab
 
-    @property
-    def calls(self) -> int:
-        return self.base.calls
-
     def prefix(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
-        """Effective flat prefix for this view."""
-        raise NotImplementedError
+        """Effective flat prefix: image context if the view sees it, text, output."""
+        head = prompt.image_ctx + prompt.text if self.sees_image else prompt.text
+        return head + tuple(generated)
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
         return self.base.next_dist(self.prefix(prompt, generated))
@@ -286,12 +283,10 @@ class PromptConditionedLm:
 class MultimodalTargetLm(PromptConditionedLm):
     """Image-aware view: conditions on image context, then text, then output."""
 
-    def prefix(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
-        return prompt.image_ctx + prompt.text + tuple(generated)
+    sees_image = True
 
 
 class TextOnlyDraftLm(PromptConditionedLm):
     """Text-only view: image context is invisible, by construction."""
 
-    def prefix(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
-        return prompt.text + tuple(generated)
+    sees_image = False

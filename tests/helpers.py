@@ -1,8 +1,9 @@
-"""Shared builders for randomized test instances (models, prompts, dists)."""
+"""Shared builders for test instances (models, prompts, dists, traces)."""
 
 import numpy as np
 
 from mmspec.core import MultimodalPrompt, ProbDist, Vocab
+from mmspec.engine import BlockRecord, BlockTrace
 from mmspec.models import train_ngram
 
 
@@ -40,3 +41,11 @@ def random_dist(rng, size, allow_zeros=False):
         n_zero = int(rng.integers(0, size - 1))
         w[rng.choice(size, size=n_zero, replace=False)] = 0.0
     return ProbDist(w / w.sum())
+
+
+def trace_from_emission_counts(counts, gamma=1):
+    """Skeletal trace from per-block emission counts; token values are
+    placeholders, every block drafts ``gamma`` tokens."""
+    return BlockTrace(
+        [BlockRecord((0,) * gamma, min(n - 1, gamma), (0,) * n, "bonus") for n in counts]
+    )

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_dist, random_model, random_prompt, random_vocab
+from helpers import random_dist, random_model, random_prompt, random_vocab, trace_from_emission_counts
 from mmspec.cli import main
 from mmspec.core import MultimodalPrompt, RngState
 from mmspec.engine import (
-    BlockTrace,
     SpdConfig,
     autoregressive_generate,
     draft_block,
@@ -116,7 +115,7 @@ def test_criterion_3_single_step_marginal(capsys):
 def test_criterion_4_metric_formulas(capsys):
     label = "block efficiency and speedup formulas match hand arithmetic"
     with criterion(capsys, 4, label):
-        trace = BlockTrace.from_emission_counts([4, 2, 3], gamma=3)
+        trace = trace_from_emission_counts([4, 2, 3], gamma=3)
         assert block_efficiency(trace) == 3.0
         cost = CostModel(115.0 / 7000.0)
         value = mbsu(2.0, 3, cost)

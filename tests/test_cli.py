@@ -72,6 +72,16 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_bad_gamma_flag_rejected_before_loading(self, tmp_path, capsys):
+        """The override is validated with the config, before the (missing)
+        model and dataset files are opened."""
+        cfg = tmp_path / "config.json"
+        missing = {"target_model": "t.json", "draft_model": "d.json", "dataset": "x.jsonl"}
+        cfg.write_text(json.dumps(missing), encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--gamma", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: gamma must be >= 1")
+
     def test_unknown_config_key(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         obj = json.loads((workspace / "config.json").read_text(encoding="utf-8"))

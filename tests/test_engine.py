@@ -1,5 +1,7 @@
 """Tests for draft/verify primitives and the generation loops."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import random_model, random_prompt, random_vocab
 
 from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax
 from mmspec.engine import (
+    BlockRecord,
     BlockTrace,
     DraftBlock,
     DraftZeroProbError,
@@ -23,10 +26,34 @@ from mmspec.engine import (
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
-def make_pair(rng, vocab, target_order=None, draft_order=None):
+class QueryCounter:
+    """View mixin that counts model queries by method name."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.queries = Counter()
+
+    def next_dist(self, *args, **kwargs):
+        self.queries["next_dist"] += 1
+        return super().next_dist(*args, **kwargs)
+
+    def score_block(self, *args, **kwargs):
+        self.queries["score_block"] += 1
+        return super().score_block(*args, **kwargs)
+
+
+class SpyTarget(QueryCounter, MultimodalTargetLm):
+    pass
+
+
+class SpyDraft(QueryCounter, TextOnlyDraftLm):
+    pass
+
+
+def make_pair(rng, vocab, target_order=None, draft_order=None, views=(MultimodalTargetLm, TextOnlyDraftLm)):
     """Random (target, draft) views over independently trained models."""
-    target = MultimodalTargetLm(random_model(rng, vocab, order=target_order))
-    draft = TextOnlyDraftLm(random_model(rng, vocab, order=draft_order))
+    target = views[0](random_model(rng, vocab, order=target_order))
+    draft = views[1](random_model(rng, vocab, order=draft_order))
     return target, draft
 
 
@@ -218,16 +245,19 @@ class TestSpdGenerate:
             assert spd == ar
 
     def test_trace_accounting(self):
+        """The trace's derived counts equal the model queries actually made:
+        one target score_block and gamma draft next_dist calls per block."""
         rng = np.random.default_rng(65)
         for trial in range(25):
             vocab = random_vocab(rng)
-            target, draft = make_pair(rng, vocab)
+            target, draft = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
             prompt = random_prompt(rng, vocab)
             gamma = int(rng.integers(1, 5))
             mode = "greedy" if trial % 2 else "stochastic"
             cfg = SpdConfig(gamma=gamma, mode=mode, max_new_tokens=32)
             out, trace = spd_generate(target, draft, prompt, cfg, RngState(trial))
-            assert trace.target_calls == len(trace.blocks)
+            assert target.queries == Counter(score_block=trace.target_calls)
+            assert draft.queries == Counter(next_dist=trace.draft_calls)
             assert trace.draft_calls == gamma * trace.target_calls
             assert trace.total_emitted == len(out)
             for b in trace.blocks:
@@ -331,11 +361,11 @@ class TestAutoregressive:
     def test_one_call_per_token(self):
         rng = np.random.default_rng(71)
         vocab = random_vocab(rng)
-        target, _ = make_pair(rng, vocab)
+        target, _ = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
         prompt = random_prompt(rng, vocab)
-        before = target.calls
         out = autoregressive_generate(target, prompt, 16, "greedy", stop_on_eos=False)
-        assert target.calls - before == len(out) == 16
+        assert len(out) == 16
+        assert target.queries == Counter(next_dist=len(out))
 
     def test_stochastic_requires_rng(self):
         rng = np.random.default_rng(72)
@@ -346,11 +376,15 @@ class TestAutoregressive:
 
 
 class TestBlockTrace:
-    def test_from_emission_counts(self):
-        trace = BlockTrace.from_emission_counts([4, 2, 3], gamma=3)
-        assert trace.target_calls == 3
-        assert trace.total_emitted == 9
-
-    def test_from_emission_counts_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BlockTrace.from_emission_counts([2, 0])
+    def test_counts_derive_from_blocks(self):
+        trace = BlockTrace(
+            [
+                BlockRecord((1, 2, 3), 3, (1, 2, 3, 4), "bonus"),
+                BlockRecord((5, 6, 7), 1, (5, 0), "residual-resample"),
+                BlockRecord((8,), 0, (2,), "greedy-correction"),
+            ]
+        )
+        assert (trace.target_calls, trace.draft_calls, trace.total_emitted) == (3, 7, 7)
+        trace.blocks.pop()
+        assert (trace.target_calls, trace.draft_calls, trace.total_emitted) == (2, 6, 6)
+        assert (BlockTrace().target_calls, BlockTrace().draft_calls) == (0, 0)

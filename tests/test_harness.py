@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 from statistics import fmean
@@ -287,7 +288,7 @@ class TestExperimentConfig:
         assert cfg.stop_on_eos is True
         assert 0 < cfg.cost_c < 1
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             self.base(gammas=())
         with pytest.raises(ValueError):
@@ -300,6 +301,13 @@ class TestExperimentConfig:
             self.base(max_new_tokens=0)
         with pytest.raises(ValueError):
             self.base(cost_c=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            self.base(seed=-1)
+        for field, value in (("cost_c", "cheap"), ("max_new_tokens", "many")):
+            path = tmp_path / f"bad-{field}.json"
+            path.write_text(json.dumps({"target_model": "t", "draft_model": "d", "dataset": "x", field: value}))
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ": '<' not supported"):
+                ExperimentConfig.from_file(path)
 
     def test_from_dict_unknown_and_missing_keys(self):
         with pytest.raises(ValueError, match="unknown config fields"):

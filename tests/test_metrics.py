@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import trace_from_emission_counts
+
 from mmspec.engine import BlockTrace
 from mmspec.metrics import (
     CostModel,
@@ -25,7 +27,6 @@ def make_run(pid="p0", gamma=3, tau=2.0, tokens=20, calls=10, wall=5.0, b_tokens
         mode="greedy",
         tokens=tokens,
         target_calls=calls,
-        draft_calls=gamma * calls,
         tau=tau,
         mbsu=mbsu(tau, gamma, cost),
         mbsu_c_scaled=mbsu_c_scaled(tau, gamma, cost),
@@ -50,7 +51,7 @@ class TestCostModel:
 class TestBlockEfficiency:
     def test_mean_emissions(self):
         """Blocks emitting 4, 2, 3 tokens give tau = 3.0 exactly."""
-        trace = BlockTrace.from_emission_counts([4, 2, 3], gamma=3)
+        trace = trace_from_emission_counts([4, 2, 3], gamma=3)
         assert block_efficiency(trace) == 3.0
 
     def test_empty_trace(self):
