@@ -8,6 +8,7 @@ counter-based random stream whose draws are reproducible from
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,7 +182,7 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
     sampled exactly.
     """
     u = rng.uniform()
-    idx = int(np.searchsorted(dist.cdf, u, side="right"))
+    idx = bisect.bisect_right(dist.cdf, u)  # first index whose cumulative sum exceeds u
     if idx >= len(dist):
         # u landed past a cumulative sum that rounded slightly below 1.
         idx = int(np.flatnonzero(dist.probs > 0.0)[-1])

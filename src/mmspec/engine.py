@@ -181,14 +181,13 @@ def draft_block(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    gen = tuple(generated)
-    tokens: list[TokenId] = []
+    seq = list(generated)  # the output so far, then the drafted tokens
     dists: list[ProbDist] = []
     for _ in range(gamma):
-        d = draft.next_dist(prompt, gen + tuple(tokens))
-        tokens.append(argmax(d) if mode == "greedy" else sample(d, rng))
+        d = draft.next_dist(prompt, seq)
+        seq.append(argmax(d) if mode == "greedy" else sample(d, rng))
         dists.append(d)
-    return DraftBlock(tuple(tokens), tuple(dists))
+    return DraftBlock(tuple(seq[len(seq) - gamma :]), tuple(dists))
 
 
 def verify_stochastic(

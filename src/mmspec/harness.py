@@ -79,6 +79,10 @@ DEFAULT_ALPHABET = (
 
 TEMPLATES = ("plain", "chat", "caption", "sqa")
 
+# JSON value types a config field of each annotation takes: a bool is no
+# number, and a tuple field takes a list of ints.
+JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "tuple[int, ...]": (list,)}
+
 CHAT_PREAMBLE = (
     "A chat between a curious user and an artificial intelligence assistant. "
     "The assistant gives helpful, detailed, and polite answers to the user's "
@@ -327,18 +331,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict, base_dir: str | Path | None = None) -> "ExperimentConfig":
-        """Build a config from parsed JSON; unknown keys are an error.
+        """Build a config from parsed JSON; unknown keys and wrong-typed values are errors.
 
         Relative model/dataset paths are resolved against ``base_dir`` when
         given (the config file's directory, for file-based configs).
         """
-        names = {f.name for f in fields(cls)}
-        extra = set(obj) - names
+        kinds = {f.name: f.type for f in fields(cls)}
+        extra = set(obj) - set(kinds)
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
         missing = {"target_model", "draft_model", "dataset"} - set(obj)
         if missing:
             raise ValueError(f"config is missing required fields {sorted(missing)}")
+        for name, value in obj.items():
+            kind = kinds[name]
+            if type(value) not in JSON_TYPES[kind] or (type(value) is list and any(type(v) is not int for v in value)):
+                raise TypeError(f"config field {name} must be {kind}, got {value!r}")
         cfg = cls(**obj)
         if base_dir is not None:
             base = Path(base_dir)

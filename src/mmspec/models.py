@@ -261,13 +261,18 @@ class PromptConditionedLm:
     def vocab(self) -> Vocab:
         return self.base.vocab
 
-    def prefix(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
-        """Effective flat prefix: image context if the view sees it, text, output."""
-        head = prompt.image_ctx + prompt.text if self.sees_image else prompt.text
-        return head + tuple(generated)
+    def window(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
+        """The last ``need = order - 1`` flat-prefix ids, ``(flat prefix)[-need:]``, without building the
+        prefix: the output's tail, topped up from the text, then from the image context if the view sees it."""
+        need = self.base.order - 1
+        window = tuple(generated[max(len(generated) - need, 0) :])
+        if len(window) < need:
+            short = self.sees_image and len(prompt.text) + len(window) < need
+            window = (prompt.image_ctx + prompt.text if short else prompt.text)[len(window) - need :] + window
+        return window
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
-        return self.base.next_dist(self.prefix(prompt, generated))
+        return self.base.next_dist(self.window(prompt, generated))
 
     def score_block(
         self,
@@ -277,7 +282,7 @@ class PromptConditionedLm:
         *,
         max_block: int | None = None,
     ) -> list[ProbDist]:
-        return self.base.score_block(self.prefix(prompt, generated), block, max_block=max_block)
+        return self.base.score_block(self.window(prompt, generated), block, max_block=max_block)
 
 
 class MultimodalTargetLm(PromptConditionedLm):

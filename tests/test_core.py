@@ -150,6 +150,38 @@ class TestSample:
         assert 0.49 <= zeros / n <= 0.51
 
 
+class FixedUniform:
+    """Stand-in for RngState whose every draw is the same ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def searchsorted_sample(dist, u):
+    """The inverse-CDF draw as numpy's ``searchsorted(side="right")`` gives it."""
+    idx = int(np.searchsorted(np.cumsum(dist.probs), u, side="right"))
+    return idx if idx < len(dist) else int(np.flatnonzero(dist.probs > 0.0)[-1])
+
+
+class TestSampleEdges:
+    def test_u_on_a_cumulative_sum_matches_searchsorted(self):
+        """Ties: a u equal to a cumulative sum, including runs of equal sums
+        from zero-probability tokens, draws the first token past it."""
+        d = ProbDist([0.25, 0.0, 0.25, 0.0, 0.0, 0.5])
+        for u in [0.0, *d.cdf.tolist(), 0.3, 0.75]:
+            assert sample(d, FixedUniform(u)) == searchsorted_sample(d, u), u
+        assert [sample(d, FixedUniform(u)) for u in (0.0, 0.25, 0.5)] == [0, 2, 5]
+
+    def test_cdf_rounding_below_one_falls_back_to_last_positive(self):
+        d = ProbDist([0.1] * 10 + [0.0])
+        assert d.cdf[-1] < 1.0
+        for u in (d.cdf[-1], float(np.nextafter(d.cdf[-1], 1.0))):
+            assert sample(d, FixedUniform(u)) == searchsorted_sample(d, u) == 9
+
+
 class TestArgmax:
     def test_tie_breaks_low(self):
         assert argmax(ProbDist([0.5, 0.5])) == 0

@@ -23,7 +23,7 @@ from mmspec.engine import (
     verify_greedy,
     verify_stochastic,
 )
-from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
+from mmspec.models import MultimodalTargetLm, NgramLm, TextOnlyDraftLm, train_ngram
 
 
 class QueryCounter:
@@ -40,6 +40,22 @@ class QueryCounter:
     def score_block(self, *args, **kwargs):
         self.queries["score_block"] += 1
         return super().score_block(*args, **kwargs)
+
+
+class PrefixLengthSpy(NgramLm):
+    """NgramLm that records ``len(prefix)`` of every query it answers."""
+
+    def __init__(self, model):
+        super().__init__(model.vocab, model.order, model.alpha, model._counts)
+        self.lengths = []
+
+    def next_dist(self, prefix):
+        self.lengths.append(len(prefix))
+        return super().next_dist(prefix)
+
+    def score_block(self, prefix, block, *, max_block=None):
+        self.lengths.append(len(prefix))
+        return super().score_block(prefix, block, max_block=max_block)
 
 
 class SpyTarget(QueryCounter, MultimodalTargetLm):
@@ -123,6 +139,17 @@ class TestDraftBlock:
         block = draft_block(draft, prompt, (), 3, None, mode="greedy")
         for j in range(3):
             assert block.tokens[j] == argmax(block.dists[j])
+
+    def test_callers_generated_list_unchanged(self):
+        """Drafting extends its own copy of the output, never the caller's list."""
+        rng = np.random.default_rng(63)
+        vocab = random_vocab(rng, min_size=4)
+        _, draft = make_pair(rng, vocab, draft_order=3)
+        prompt = random_prompt(rng, vocab)
+        generated = [1, 3, 2]
+        block = draft_block(draft, prompt, generated, 5, RngState(3, (0,)))
+        assert generated == [1, 3, 2]
+        assert block.tokens == draft_block(draft, prompt, (1, 3, 2), 5, RngState(3, (0,))).tokens
 
     def test_draft_eos_does_not_stop_drafting(self):
         """A draft that loves EOS still proposes a full block."""
@@ -373,6 +400,29 @@ class TestAutoregressive:
         target, _ = make_pair(rng, vocab)
         with pytest.raises(ValueError):
             autoregressive_generate(target, random_prompt(rng, vocab), 4, "stochastic")
+
+
+class TestWindowSizedQueries:
+    @pytest.mark.parametrize("target_order,draft_order", [(3, 2), (4, 4), (2, 1)])
+    def test_models_never_see_more_than_their_window(self, target_order, draft_order):
+        """Over long prompts and 128-token outputs, every query hands the base
+        model at most ``order - 1`` ids, however long the prefix has grown."""
+        rng = np.random.default_rng(73)
+        vocab = random_vocab(rng, min_size=8)
+        target_base = PrefixLengthSpy(random_model(rng, vocab, order=target_order))
+        draft_base = PrefixLengthSpy(random_model(rng, vocab, order=draft_order))
+        target, draft = MultimodalTargetLm(target_base), TextOnlyDraftLm(draft_base)
+        prompt = MultimodalPrompt(
+            image_ctx=rng.integers(0, vocab.size, 64).tolist(), text=rng.integers(0, vocab.size, 256).tolist()
+        )
+        for mode in ("greedy", "stochastic"):
+            cfg = SpdConfig(gamma=3, mode=mode, max_new_tokens=128, stop_on_eos=False)
+            out, _ = spd_generate(target, draft, prompt, cfg, RngState(5))
+            assert len(out) == 128
+            ar = autoregressive_generate(target, prompt, 128, mode, RngState(6), stop_on_eos=False)
+            assert len(ar) == 128
+        for base in (target_base, draft_base):
+            assert base.lengths and max(base.lengths) <= base.order - 1
 
 
 class TestBlockTrace:

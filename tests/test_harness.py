@@ -303,10 +303,21 @@ class TestExperimentConfig:
             self.base(cost_c=0.0)
         with pytest.raises(ValueError, match="seed"):
             self.base(seed=-1)
-        for field, value in (("cost_c", "cheap"), ("max_new_tokens", "many")):
-            path = tmp_path / f"bad-{field}.json"
+        wrong_types = (
+            ("cost_c", "cheap"),
+            ("max_new_tokens", "many"),
+            ("max_new_tokens", True),
+            ("seed", 1.5),
+            ("gammas", 3),
+            ("gammas", [3, "5"]),
+            ("stop_on_eos", 1),
+            ("template", ["chat"]),
+            ("dataset", None),
+        )
+        for field, value in wrong_types:
+            path = tmp_path / "bad.json"
             path.write_text(json.dumps({"target_model": "t", "draft_model": "d", "dataset": "x", field: value}))
-            with pytest.raises(ValueError, match=re.escape(str(path)) + ": '<' not supported"):
+            with pytest.raises(ValueError, match=re.escape(str(path)) + f": config field {field} must be"):
                 ExperimentConfig.from_file(path)
 
     def test_from_dict_unknown_and_missing_keys(self):

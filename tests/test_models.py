@@ -258,10 +258,12 @@ class TestPromptViews:
         return train_ngram([[0, 2, 3], [1, 2, 0]], order=3, alpha=1.0, vocab=vocab)
 
     def test_target_conditions_on_image_then_text(self):
-        m = self._image_sensitive_model()
-        target = MultimodalTargetLm(m)
-        prompt = MultimodalPrompt(image_ctx=(0,), text=(2,))
-        assert target.prefix(prompt, (3,)) == (0, 2, 3)
+        """The target's window is the tail of image context, text, output."""
+        target = MultimodalTargetLm(self._image_sensitive_model())
+        prompt = MultimodalPrompt(image_ctx=(1,), text=(2,))
+        assert target.window(prompt) == (1, 2)
+        assert target.window(prompt, (3,)) == (2, 3)
+        assert target.window(MultimodalPrompt(image_ctx=(), text=(2,))) == (2,)
 
     def test_image_ctx_changes_target_dist(self):
         """Same text, different image ids: windows (0,2) vs (1,2) differ."""
@@ -290,8 +292,37 @@ class TestPromptViews:
                 assert np.array_equal(d1.probs, d2.probs)
                 checked += 1
 
-    def test_draft_prefix_is_text_plus_generated(self):
-        m = self._image_sensitive_model()
-        draft = TextOnlyDraftLm(m)
+    def test_draft_window_is_tail_of_text_plus_generated(self):
+        draft = TextOnlyDraftLm(self._image_sensitive_model())
+        assert draft.window(MultimodalPrompt(image_ctx=(1,), text=(2,))) == (2,)
         prompt = MultimodalPrompt(image_ctx=(1, 1), text=(2, 3))
-        assert draft.prefix(prompt, (0,)) == (2, 3, 0)
+        assert draft.window(prompt) == (2, 3)
+        assert draft.window(prompt, [0]) == (3, 0)
+        assert draft.window(prompt, (0, 1, 3)) == (1, 3)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_window_queries_equal_full_prefix_queries(self, order):
+        """Each view answers exactly as its base model queried with the whole
+        flat prefix (target: image + text + output, draft: text + output),
+        for output given as a list or a tuple and text shorter than the window."""
+        rng = np.random.default_rng(300 + order)
+        vocab = Vocab(size=3, eos=0)
+        base = random_model(rng, vocab, order=order, n_seqs=60)
+        need = order - 1
+        for _ in range(300):
+            prompt = random_prompt(rng, vocab, max_image=4, max_text=order)
+            gen = rng.integers(0, vocab.size, int(rng.integers(0, order + 2))).tolist()
+            block = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 4))).tolist())
+            for view, head in (
+                (MultimodalTargetLm(base), prompt.image_ctx + prompt.text),
+                (TextOnlyDraftLm(base), prompt.text),
+            ):
+                full = head + tuple(gen)
+                for generated in (gen, tuple(gen)):
+                    assert view.window(prompt, generated) == full[max(len(full) - need, 0) :]
+                    np.testing.assert_array_equal(view.next_dist(prompt, generated).probs, base.next_dist(full).probs)
+                    got = view.score_block(prompt, generated, block)
+                    want = base.score_block(full, block)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g.probs, w.probs)
