@@ -159,11 +159,17 @@ def accept_prob(p_val: float, q_val: float) -> float:
 def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Normalized ``max(0, q - p)``: where to resample after a rejection.
 
+    Built once per ``(q, p)`` pair of (memoized, so recurring) model rows
+    and kept in ``q.residuals`` under ``p``; a failed build is not kept.
+
     Raises:
         AllZeroError: if ``q == p`` entrywise (a rejection is impossible
             then, so verification never hits this).
     """
-    return normalize(np.maximum(q.probs - p.probs, 0.0))
+    res = q.residuals.get(p)
+    if res is None:
+        res = q.residuals[p] = normalize(np.maximum(q.probs - p.probs, 0.0))
+    return res
 
 
 def draft_block(

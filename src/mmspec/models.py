@@ -209,8 +209,9 @@ def load_ngram(path: str | Path) -> NgramLm:
             :data:`BOS`), a repeated context, or a count row of the wrong
             width or with a negative count.
     """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
@@ -227,6 +228,11 @@ def load_ngram(path: str | Path) -> NgramLm:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
     if contexts and (table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i"):
         raise ModelFormatError(f"{path}: count rows must be {vocab.size} integers each, got {table.dtype} {table.shape}")
+    # numpy reads a JSON true/false in an integer row as 1/0, and only a file that holds such a literal can hide one
+    if "true" in text or "false" in text:
+        for ctx, row in payload["counts"]:
+            if any(type(c) is not int for c in row):
+                raise ModelFormatError(f"{path}: count row for context {ctx} holds a non-integer count")
     negative = np.flatnonzero(np.any(table < 0, axis=-1))
     if negative.size:
         raise ModelFormatError(f"{path}: count row for context {list(contexts[negative[0]])} has a negative count")

@@ -13,6 +13,8 @@ from mmspec.core import (
     normalize,
     sample,
 )
+from mmspec.engine import SpdConfig, spd_generate
+from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
 class TestVocab:
@@ -192,15 +194,45 @@ class TestArgmax:
 
 
 class TestRngState:
-    def test_counter_replay(self):
-        """Constructing at counter k equals drawing k times from counter 0."""
+    @pytest.mark.parametrize("counter", [0, 6, 63, 64, 65, 129])
+    def test_counter_replay(self, counter):
+        """Constructing at counter k equals drawing k times from counter 0,
+        also where k straddles a refill of the batched stream."""
         base = RngState(11, (3,))
-        for _ in range(6):
+        for _ in range(counter):
             base.uniform()
         x = base.uniform()
-        replay = RngState(11, (3,), counter=6)
+        replay = RngState(11, (3,), counter=counter)
         assert replay.uniform() == x
-        assert replay.counter == 7
+        assert replay.counter == counter + 1
+
+    @pytest.mark.parametrize("seed, stream", [(0, ()), (11, (3,)), (2**64 - 1, (1, 0, 7))])
+    def test_draws_equal_scalar_generator_draws(self, seed, stream):
+        """Batched draws are the scalar Philox draws of the same address."""
+        rng = RngState(seed, stream)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
+        assert [rng.uniform() for _ in range(300)] == [gen.random() for _ in range(300)]
+        assert rng.counter == 300
+
+    def test_greedy_generation_draws_nothing(self):
+        """A greedy run leaves the counter of every substream it derives at 0."""
+        derived = []
+
+        class RecordingRng(RngState):
+            def substream(self, *ids):
+                derived.append(super().substream(*ids))
+                return derived[-1]
+
+        rng = np.random.default_rng(12)
+        vocab = Vocab(size=6, eos=0)
+        target, draft = (
+            view(train_ngram(rng.integers(0, 6, (8, 10)).tolist(), order, 0.5, vocab))
+            for view, order in ((MultimodalTargetLm, 3), (TextOnlyDraftLm, 2))
+        )
+        cfg = SpdConfig(gamma=3, mode="greedy", max_new_tokens=32)
+        spd_generate(target, draft, MultimodalPrompt((1,), (2, 3)), cfg, RecordingRng(5))
+        assert len(derived) == 3
+        assert [s.counter for s in derived] == [0, 0, 0]
 
     def test_streams_independent_of_position(self):
         """substream() depends only on identity, not on draws already taken."""

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import random_model, random_prompt, random_vocab
 
-from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax
+from mmspec import engine
+from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize
 from mmspec.engine import (
     BlockRecord,
     BlockTrace,
@@ -105,9 +106,21 @@ class TestResidualDist:
         np.testing.assert_allclose(res.probs, [1.0, 0.0])
 
     def test_equal_dists_raise(self):
+        """An all-zero residual is not memoized: every call raises."""
         d = ProbDist([0.4, 0.6])
-        with pytest.raises(AllZeroError):
-            residual_dist(d, d)
+        for _ in range(2):
+            with pytest.raises(AllZeroError):
+                residual_dist(d, d)
+
+    def test_memoized_per_pair(self):
+        q, p, p2 = ProbDist([0.7, 0.2, 0.1]), ProbDist([0.2, 0.5, 0.3]), ProbDist([0.1, 0.1, 0.8])
+        res = residual_dist(q, p)
+        assert residual_dist(q, p) is res
+        np.testing.assert_array_equal(res.probs, normalize(np.maximum(q.probs - p.probs, 0.0)).probs)
+        other = residual_dist(q, p2)
+        assert other is not res
+        np.testing.assert_array_equal(other.probs, normalize(np.maximum(q.probs - p2.probs, 0.0)).probs)
+        assert not np.array_equal(other.probs, res.probs)
 
 
 class TestDraftBlock:
@@ -423,6 +436,35 @@ class TestWindowSizedQueries:
             assert len(ar) == 128
         for base in (target_base, draft_base):
             assert base.lengths and max(base.lengths) <= base.order - 1
+
+
+class TestResidualReuse:
+    def test_one_residual_build_per_rejected_pair(self, monkeypatch):
+        """Over a stochastic run with frequent rejections, a residual is
+        normalized once per distinct (target row, draft row) pair, not once
+        per rejection."""
+        built, rejected = [], []
+
+        def spy_normalize(raw):
+            built.append(raw)
+            return normalize(raw)
+
+        def spy_residual(q, p):
+            rejected.append((q, p))  # holding the rows keeps their ids unique
+            return residual_dist(q, p)
+
+        monkeypatch.setattr(engine, "normalize", spy_normalize)
+        monkeypatch.setattr(engine, "residual_dist", spy_residual)
+        rng = np.random.default_rng(74)
+        vocab = Vocab(size=6, eos=0)
+        target, draft = make_pair(rng, vocab, target_order=2, draft_order=2)
+        prompt = random_prompt(rng, vocab)
+        cfg = SpdConfig(gamma=3, mode="stochastic", max_new_tokens=128, stop_on_eos=False)
+        out, trace = spd_generate(target, draft, prompt, cfg, RngState(8))
+        assert len(out) == 128
+        assert len(rejected) == sum(b.correction_kind == "residual-resample" for b in trace.blocks)
+        pairs = {(id(q), id(p)) for q, p in rejected}
+        assert len(built) == len(pairs) < len(rejected)
 
 
 class TestBlockTrace:

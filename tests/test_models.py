@@ -221,6 +221,7 @@ class TestSerialization:
                 [[[0, 1], [1, 0, 0, 0]], [[0, 1], [0, 1, 0, 0]]], "appears twice", id="repeated-context"
             ),
             pytest.param([[[0, 1], [1.5, 2, 0, 0]]], "must be 4 integers each", id="fractional-count"),
+            pytest.param([[[0, 1], [1, True, 0, 0]]], "holds a non-integer count", id="boolean-count"),
             pytest.param([[[0, 1.5], [1, 2, 0, 0]]], "is not 2 ids in", id="fractional-context-id"),
             pytest.param([[[0, True], [1, 2, 0, 0]]], "is not 2 ids in", id="boolean-context-id"),
         ],
