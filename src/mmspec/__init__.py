@@ -26,7 +26,6 @@ from mmspec.engine import (
     DraftZeroProbError,
     ShapeMismatchError,
     SpdConfig,
-    VerifyOutcome,
     accept_prob,
     autoregressive_generate,
     draft_block,
@@ -62,7 +61,6 @@ from mmspec.metrics import (
     token_rate_ratio,
 )
 from mmspec.models import (
-    BlockTooLongError,
     EmptyCorpusError,
     ModelFormatError,
     MultimodalTargetLm,

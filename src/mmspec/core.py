@@ -3,7 +3,7 @@
 Everything here is small and immutable: vocabularies, dense probability
 vectors, prompts that keep image context separate from text, and a
 counter-based random stream whose draws are reproducible from
-(seed, stream, counter) alone.
+(seed, stream).
 """
 
 from __future__ import annotations
@@ -117,33 +117,34 @@ class MultimodalPrompt:
 
 
 class RngState:
-    """Deterministic uniform stream addressed by ``(seed, stream, counter)``.
+    """Deterministic uniform stream addressed by ``(seed, stream)``.
 
     Each named substream is an independent counter-based Philox stream keyed
-    by the 64-bit seed plus a tuple of stream ids.  Every draw consumes
-    exactly one word of the underlying stream, so a state can be rebuilt from
-    the three address components alone; nothing global is touched.  Draws
-    come in batches of 64, which equal 64 scalar draws (~0.05 us, not ~1 us, each).
+    by the 64-bit seed plus a tuple of stream ids; ``counter`` counts the
+    draws taken, and nothing global is touched.  The generator is built on
+    the first draw, so a state that never draws (greedy decoding) costs no
+    key derivation.  Draws come in batches of 64, which equal 64 scalar
+    draws (~0.05 us, not ~1 us, each).
     """
 
     __slots__ = ("seed", "stream", "counter", "_gen", "_batch")
 
-    def __init__(self, seed: int, stream: int | tuple[int, ...] = (), counter: int = 0) -> None:
+    def __init__(self, seed: int, stream: int | tuple[int, ...] = ()) -> None:
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.stream = (stream,) if isinstance(stream, int) else tuple(int(s) for s in stream)
         self.counter = 0
-        key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
-        self._gen = np.random.Generator(np.random.Philox(key))
+        self._gen: np.random.Generator | None = None
         self._batch: list[float] = []  # the rest of the current batch, last draw first
-        for _ in range(counter):
-            self.uniform()
 
     def uniform(self) -> float:
         """Next uniform draw in ``[0, 1)``; advances the counter by one."""
         if not self._batch:
+            if self._gen is None:
+                key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
+                self._gen = np.random.Generator(np.random.Philox(key))
             self._batch = self._gen.random(64)[::-1].tolist()
         self.counter += 1
         return self._batch.pop()

@@ -14,12 +14,12 @@ target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, argmax, normalize, sample
+from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, TokenId, argmax, normalize, sample
 from mmspec.models import PromptConditionedLm
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "DraftZeroProbError",
     "ShapeMismatchError",
     "SpdConfig",
-    "VerifyOutcome",
     "accept_prob",
     "autoregressive_generate",
     "draft_block",
@@ -93,28 +92,20 @@ class DraftBlock:
 
 
 @dataclass(frozen=True)
-class VerifyOutcome:
-    """Result of verifying one draft block.
+class BlockRecord:
+    """One verified draft block.
 
     ``emitted`` is the accepted prefix plus exactly one trailing token: a
     residual resample or greedy correction on rejection, or the bonus token
-    when the whole block was accepted.  ``accepted == len(block)`` holds
+    when the whole block was accepted; :func:`spd_generate` cuts it at EOS
+    and at the length limit.  ``accepted == len(draft_tokens)`` holds
     exactly when ``correction_kind == "bonus"``.
     """
 
+    draft_tokens: tuple[TokenId, ...]
     accepted: int
     emitted: tuple[TokenId, ...]
     correction_kind: str  # "residual-resample" | "greedy-correction" | "bonus"
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    """One verified block as it entered the output stream."""
-
-    draft_tokens: tuple[TokenId, ...]
-    accepted: int
-    emitted: tuple[TokenId, ...]  # after EOS / length truncation
-    correction_kind: str
 
 
 @dataclass
@@ -163,8 +154,8 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     and kept in ``q.residuals`` under ``p``; a failed build is not kept.
 
     Raises:
-        AllZeroError: if ``q == p`` entrywise (a rejection is impossible
-            then, so verification never hits this).
+        AllZeroError: if ``q <= p`` entrywise; :func:`verify_stochastic`
+            then resamples from ``q``.
     """
     res = q.residuals.get(p)
     if res is None:
@@ -200,8 +191,8 @@ def verify_stochastic(
     target_dists: Sequence[ProbDist],
     block: DraftBlock,
     rng: RngState,
-    resample_rng: RngState | None = None,
-) -> VerifyOutcome:
+    resample_rng: RngState,
+) -> BlockRecord:
     """Accept/reject a draft block so the output follows the target exactly.
 
     Scans positions left to right, consuming one uniform from ``rng`` per
@@ -209,13 +200,16 @@ def verify_stochastic(
     ``min(1, q_j/p_j)``.  The first rejection is replaced by a draw from the
     residual distribution and everything after it is discarded; a clean
     sweep appends a bonus token from the final target distribution.
-    Residual and bonus draws come from ``resample_rng`` (default: ``rng``).
+    Residual and bonus draws come from ``resample_rng``.
+
+    A residual with no positive mass (``q <= p`` entrywise, so the rows
+    differ only by rounding, yet ``q_j/p_j < 1``) resamples from ``q``
+    itself: that rejection has rounding-level probability, so the output
+    still follows the target within ``PROB_SUM_TOL``.
 
     Raises:
         ShapeMismatchError: unless ``len(target_dists) == len(block) + 1``.
     """
-    if resample_rng is None:
-        resample_rng = rng
     n = len(block.tokens)
     if len(target_dists) != n + 1:
         raise ShapeMismatchError(f"expected {n + 1} target distributions, got {len(target_dists)}")
@@ -223,13 +217,17 @@ def verify_stochastic(
         p_j = float(block.dists[j].probs[tok])
         q_j = float(target_dists[j].probs[tok])
         if rng.uniform() >= accept_prob(p_j, q_j):
-            fix = sample(residual_dist(target_dists[j], block.dists[j]), resample_rng)
-            return VerifyOutcome(j, block.tokens[:j] + (fix,), "residual-resample")
+            try:
+                res = residual_dist(target_dists[j], block.dists[j])
+            except AllZeroError:
+                res = target_dists[j]
+            fix = sample(res, resample_rng)
+            return BlockRecord(block.tokens, j, block.tokens[:j] + (fix,), "residual-resample")
     bonus = sample(target_dists[n], resample_rng)
-    return VerifyOutcome(n, block.tokens + (bonus,), "bonus")
+    return BlockRecord(block.tokens, n, block.tokens + (bonus,), "bonus")
 
 
-def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> VerifyOutcome:
+def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> BlockRecord:
     """Accept drafted tokens while they equal the target argmax.
 
     On the first mismatch the target argmax itself is emitted as the
@@ -242,8 +240,8 @@ def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> Verify
     for j, tok in enumerate(block.tokens):
         top = argmax(target_dists[j])
         if tok != top:
-            return VerifyOutcome(j, block.tokens[:j] + (top,), "greedy-correction")
-    return VerifyOutcome(n, block.tokens + (argmax(target_dists[n]),), "bonus")
+            return BlockRecord(block.tokens, j, block.tokens[:j] + (top,), "greedy-correction")
+    return BlockRecord(block.tokens, n, block.tokens + (argmax(target_dists[n]),), "bonus")
 
 
 # --------------------------------------------------------------------------- #
@@ -280,22 +278,20 @@ def spd_generate(
     done = False
     while not done and len(out) < cfg.max_new_tokens:
         block = draft_block(draft, prompt, out, cfg.gamma, draft_rng, cfg.mode)
-        target_dists = target.score_block(prompt, out, block.tokens, max_block=cfg.gamma)
+        target_dists = target.score_block(prompt, out, block.tokens)
         if cfg.mode == "greedy":
-            outcome = verify_greedy(target_dists, block)
+            record = verify_greedy(target_dists, block)
         else:
-            outcome = verify_stochastic(target_dists, block, verify_rng, resample_rng)
-        emitted = list(outcome.emitted)
+            record = verify_stochastic(target_dists, block, verify_rng, resample_rng)
+        emitted = record.emitted
         if cfg.stop_on_eos and eos in emitted:
             emitted = emitted[: emitted.index(eos) + 1]
             done = True
-        room = cfg.max_new_tokens - len(out)
-        if len(emitted) > room:
-            emitted = emitted[:room]
+        emitted = emitted[: cfg.max_new_tokens - len(out)]
+        if emitted != record.emitted:
+            record = replace(record, emitted=emitted)
         out.extend(emitted)
-        trace.blocks.append(
-            BlockRecord(block.tokens, outcome.accepted, tuple(emitted), outcome.correction_kind)
-        )
+        trace.blocks.append(record)
     return out, trace
 
 

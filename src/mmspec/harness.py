@@ -103,6 +103,10 @@ CSV_COLUMNS = (
     "wall_time_s",
 )
 
+# Config fields that name files: required, resolved against the config's
+# directory, and echoed in reports by file name only.
+_PATH_FIELDS = ("target_model", "draft_model", "dataset")
+
 # Top-level stream ids: the baseline stream ignores gamma on purpose, so the
 # baseline output for a prompt is the same whichever gamma is being measured.
 _STREAM_BASELINE = 0
@@ -316,7 +320,6 @@ class ExperimentConfig:
     cost_c: float = DEFAULT_DRAFT_COST
     draft_uses_image: bool = False
     stop_on_eos: bool = True
-    alphabet: str = DEFAULT_ALPHABET
 
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
@@ -340,7 +343,7 @@ class ExperimentConfig:
         extra = set(obj) - set(kinds)
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
-        missing = {"target_model", "draft_model", "dataset"} - set(obj)
+        missing = set(_PATH_FIELDS) - set(obj)
         if missing:
             raise ValueError(f"config is missing required fields {sorted(missing)}")
         for name, value in obj.items():
@@ -350,7 +353,7 @@ class ExperimentConfig:
         cfg = cls(**obj)
         if base_dir is not None:
             base = Path(base_dir)
-            for name in ("target_model", "draft_model", "dataset"):
+            for name in _PATH_FIELDS:
                 p = Path(getattr(cfg, name))
                 if not p.is_absolute():
                     setattr(cfg, name, str(base / p))
@@ -371,20 +374,10 @@ class ExperimentConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
     def summary(self) -> dict:
-        """Stable config echo for reports: file names, not absolute paths."""
-        return {
-            "target_model": Path(self.target_model).name,
-            "draft_model": Path(self.draft_model).name,
-            "dataset": Path(self.dataset).name,
-            "gammas": list(self.gammas),
-            "mode": self.mode,
-            "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-            "template": self.template,
-            "cost_c": self.cost_c,
-            "draft_uses_image": self.draft_uses_image,
-            "stop_on_eos": self.stop_on_eos,
-        }
+        """Stable config echo for reports: every field, with file names, not absolute paths."""
+        echo = asdict(self) | {name: Path(getattr(self, name)).name for name in _PATH_FIELDS}
+        echo["gammas"] = list(self.gammas)
+        return echo
 
 
 # --------------------------------------------------------------------------- #
@@ -400,7 +393,6 @@ def train_models(
     draft_order: int = 2,
     target_alpha: float = 0.1,
     draft_alpha: float = 0.1,
-    alphabet: str = DEFAULT_ALPHABET,
 ) -> tuple[Path, Path]:
     """Fit target and draft n-gram models on a text corpus and save both.
 
@@ -411,7 +403,7 @@ def train_models(
 
     Returns the paths of the written target and draft model files.
     """
-    tokenizer = CharTokenizer(alphabet)
+    tokenizer = CharTokenizer()
     text = Path(corpus_path).read_text(encoding="utf-8")
     seqs = [
         tokenizer.encode(line) + [tokenizer.vocab.eos]
@@ -446,7 +438,7 @@ class _RunContext:
 
 
 def _load_context(cfg: ExperimentConfig) -> _RunContext:
-    tokenizer = CharTokenizer(cfg.alphabet)
+    tokenizer = CharTokenizer()
     target_base = load_ngram(cfg.target_model)
     draft_base = load_ngram(cfg.draft_model)
     for name, model in (("target", target_base), ("draft", draft_base)):
@@ -477,28 +469,24 @@ def generate_for_prompt(
     target: MultimodalTargetLm,
     draft: PromptConditionedLm,
     prompt: MultimodalPrompt,
+    cfg: ExperimentConfig,
     *,
     gamma: int,
-    mode: str,
-    max_new_tokens: int,
-    stop_on_eos: bool,
-    seed: int,
     prompt_index: int,
 ) -> tuple[list[TokenId], list[TokenId], BlockTrace]:
-    """Matched baseline and SPD generations under the run's stream layout.
+    """Matched baseline and SPD generations of the ``prompt_index``-th
+    prompt at ``gamma``, under the run's stream layout.
 
     Returns ``(baseline_tokens, spd_tokens, spd_trace)``.  The baseline
     stream is independent of gamma, so the baseline output for a prompt is
     identical across the gamma sweep.
     """
-    baseline_rng = RngState(seed, (_STREAM_BASELINE, prompt_index))
+    baseline_rng = RngState(cfg.seed, (_STREAM_BASELINE, prompt_index))
     baseline = autoregressive_generate(
-        target, prompt, max_new_tokens, mode, baseline_rng, stop_on_eos=stop_on_eos
+        target, prompt, cfg.max_new_tokens, cfg.mode, baseline_rng, stop_on_eos=cfg.stop_on_eos
     )
-    spd_rng = RngState(seed, (_STREAM_SPD, gamma, prompt_index))
-    spd_cfg = SpdConfig(
-        gamma=gamma, mode=mode, max_new_tokens=max_new_tokens, stop_on_eos=stop_on_eos
-    )
+    spd_rng = RngState(cfg.seed, (_STREAM_SPD, gamma, prompt_index))
+    spd_cfg = SpdConfig(gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos)
     spd, trace = spd_generate(target, draft, prompt, spd_cfg, spd_rng)
     return baseline, spd, trace
 
@@ -522,15 +510,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
     for gamma in cfg.gammas:
         for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):
             baseline, spd, trace = generate_for_prompt(
-                ctx.target,
-                ctx.draft,
-                prompt,
-                gamma=gamma,
-                mode=cfg.mode,
-                max_new_tokens=cfg.max_new_tokens,
-                stop_on_eos=cfg.stop_on_eos,
-                seed=cfg.seed,
-                prompt_index=idx,
+                ctx.target, ctx.draft, prompt, cfg, gamma=gamma, prompt_index=idx
             )
             tau = block_efficiency(trace)
             runs.append(
@@ -588,8 +568,9 @@ def _write_report(report: RunReport, out_dir: Path) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def qualitative_trace(cfg: ExperimentConfig, prompt_id: str, gamma: int | None = None) -> str:
-    """Annotated generation for one prompt: which tokens the draft got right.
+def qualitative_trace(cfg: ExperimentConfig, prompt_id: str) -> str:
+    """Annotated generation for one prompt at the first configured gamma:
+    which tokens the draft got right.
 
     Draft-accepted spans print inside ``[...]``, rejected positions print
     their target-side replacement inside ``{...}``, and bonus tokens after a
@@ -598,24 +579,14 @@ def qualitative_trace(cfg: ExperimentConfig, prompt_id: str, gamma: int | None =
     Raises:
         UnknownPromptError: if ``prompt_id`` is not in the dataset.
     """
-    gamma = cfg.gammas[0] if gamma is None else int(gamma)
+    gamma = cfg.gammas[0]
     ctx = _load_context(cfg)
     try:
         idx = next(i for i, rec in enumerate(ctx.records) if rec.prompt_id == prompt_id)
     except StopIteration:
         raise UnknownPromptError(f"prompt id {prompt_id!r} not in {cfg.dataset}") from None
     prompt = ctx.prompts[idx]
-    _, spd, trace = generate_for_prompt(
-        ctx.target,
-        ctx.draft,
-        prompt,
-        gamma=gamma,
-        mode=cfg.mode,
-        max_new_tokens=cfg.max_new_tokens,
-        stop_on_eos=cfg.stop_on_eos,
-        seed=cfg.seed,
-        prompt_index=idx,
-    )
+    _, spd, trace = generate_for_prompt(ctx.target, ctx.draft, prompt, cfg, gamma=gamma, prompt_index=idx)
     pieces: list[str] = []
     for block in trace.blocks:
         accepted = block.emitted[: min(block.accepted, len(block.emitted))]

@@ -19,7 +19,6 @@ from mmspec.core import MultimodalPrompt, ProbDist, TokenId, Vocab
 
 __all__ = [
     "BOS",
-    "BlockTooLongError",
     "EmptyCorpusError",
     "ModelFormatError",
     "MultimodalTargetLm",
@@ -42,10 +41,6 @@ NGRAM_FORMAT = "ngram-v1"
 
 class EmptyCorpusError(ValueError):
     """Raised when training is attempted on no usable sequences."""
-
-
-class BlockTooLongError(ValueError):
-    """Raised when score_block is given a block longer than its limit."""
 
 
 class ModelFormatError(ValueError):
@@ -115,13 +110,7 @@ class NgramLm:
         """Distribution over the next token after ``prefix``."""
         return self._row(self.context(prefix))
 
-    def score_block(
-        self,
-        prefix: Sequence[TokenId],
-        block: Sequence[TokenId],
-        *,
-        max_block: int | None = None,
-    ) -> list[ProbDist]:
+    def score_block(self, prefix: Sequence[TokenId], block: Sequence[TokenId]) -> list[ProbDist]:
         """Distributions at every position along ``block``, plus one more.
 
         Returns ``len(block) + 1`` distributions: entry ``j`` conditions on
@@ -129,13 +118,8 @@ class NgramLm:
         the final block token.  It stands for a single target forward pass
         regardless of block length — that one-call accounting is what makes
         speculative verification cheaper than token-by-token scoring.
-
-        Raises:
-            BlockTooLongError: if ``max_block`` is given and exceeded.
         """
         block = tuple(block)
-        if max_block is not None and len(block) > max_block:
-            raise BlockTooLongError(f"block of {len(block)} tokens exceeds limit {max_block}")
         window = self.context(prefix) + block
         need = self.order - 1
         return [self._row(window[j : j + need]) for j in range(len(block) + 1)]
@@ -281,14 +265,9 @@ class PromptConditionedLm:
         return self.base.next_dist(self.window(prompt, generated))
 
     def score_block(
-        self,
-        prompt: MultimodalPrompt,
-        generated: Sequence[TokenId],
-        block: Sequence[TokenId],
-        *,
-        max_block: int | None = None,
+        self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]
     ) -> list[ProbDist]:
-        return self.base.score_block(self.window(prompt, generated), block, max_block=max_block)
+        return self.base.score_block(self.window(prompt, generated), block)
 
 
 class MultimodalTargetLm(PromptConditionedLm):

@@ -52,11 +52,9 @@ def induced_step_dist(p: ProbDist, q: ProbDist) -> ProbDist:
     reject_mass = max(0.0, float((pv * (1.0 - accept_ratio)).sum()))
     residual_raw = np.maximum(qv - pv, 0.0)
     residual_total = float(residual_raw.sum())
-    if residual_total > 0.0:
-        combined = accept_mass + reject_mass * (residual_raw / residual_total)
-    else:
-        combined = accept_mass  # q == p: rejection impossible
-    return ProbDist(combined)
+    # With no residual mass (q <= p entrywise) the rule resamples from q.
+    residual = residual_raw / residual_total if residual_total > 0.0 else qv
+    return ProbDist(accept_mass + reject_mass * residual)
 
 
 def enumerate_autoregressive(
@@ -132,7 +130,9 @@ def _block_outcomes(target, draft, prompt, gen, gamma):
             reject_mass = surviving * (1.0 - accept)
             if reject_mass > 0.0:
                 residual = np.maximum(q_dists[j].probs - dists[j], 0.0)
-                residual /= residual.sum()
+                total = residual.sum()
+                # With no residual mass (q <= p entrywise) the rule resamples from q.
+                residual = residual / total if total > 0.0 else q_dists[j].probs
                 for fix in range(vocab_size):
                     if residual[fix] > 0.0:
                         out[toks[:j] + (fix,)] += reject_mass * float(residual[fix])

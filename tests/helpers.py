@@ -43,6 +43,16 @@ def random_dist(rng, size, allow_zeros=False):
     return ProbDist(w / w.sum())
 
 
+class FixedUniform:
+    """Stand-in for RngState whose every draw is the same ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
 def trace_from_emission_counts(counts, gamma=1):
     """Skeletal trace from per-block emission counts; token values are
     placeholders, every block drafts ``gamma`` tokens."""

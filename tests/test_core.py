@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import FixedUniform
+
 from mmspec.core import (
     AllZeroError,
     MultimodalPrompt,
@@ -13,7 +15,8 @@ from mmspec.core import (
     normalize,
     sample,
 )
-from mmspec.engine import SpdConfig, spd_generate
+from mmspec import core
+from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
@@ -128,8 +131,8 @@ class TestSample:
     def test_deterministic_per_stream(self):
         """Same (seed, stream) gives the same token; a different stream may not."""
         d = ProbDist([0.3, 0.3, 0.4])
-        a = [sample(d, RngState(5, (1,), counter=i)) for i in range(10)]
-        b_rng = RngState(5, (1,))
+        a_rng, b_rng = RngState(5, (1,)), RngState(5, (1,))
+        a = [sample(d, a_rng) for _ in range(10)]
         b = [sample(d, b_rng) for _ in range(10)]
         assert a == b
         c_rng = RngState(5, (2,))
@@ -150,16 +153,6 @@ class TestSample:
         n = 100_000
         zeros = sum(1 for _ in range(n) if sample(d, rng) == 0)
         assert 0.49 <= zeros / n <= 0.51
-
-
-class FixedUniform:
-    """Stand-in for RngState whose every draw is the same ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
 
 
 def searchsorted_sample(dist, u):
@@ -194,18 +187,6 @@ class TestArgmax:
 
 
 class TestRngState:
-    @pytest.mark.parametrize("counter", [0, 6, 63, 64, 65, 129])
-    def test_counter_replay(self, counter):
-        """Constructing at counter k equals drawing k times from counter 0,
-        also where k straddles a refill of the batched stream."""
-        base = RngState(11, (3,))
-        for _ in range(counter):
-            base.uniform()
-        x = base.uniform()
-        replay = RngState(11, (3,), counter=counter)
-        assert replay.uniform() == x
-        assert replay.counter == counter + 1
-
     @pytest.mark.parametrize("seed, stream", [(0, ()), (11, (3,)), (2**64 - 1, (1, 0, 7))])
     def test_draws_equal_scalar_generator_draws(self, seed, stream):
         """Batched draws are the scalar Philox draws of the same address."""
@@ -214,9 +195,12 @@ class TestRngState:
         assert [rng.uniform() for _ in range(300)] == [gen.random() for _ in range(300)]
         assert rng.counter == 300
 
-    def test_greedy_generation_draws_nothing(self):
-        """A greedy run leaves the counter of every substream it derives at 0."""
-        derived = []
+    def test_greedy_generation_draws_nothing(self, monkeypatch):
+        """Greedy SPD and baseline runs leave the counter of every state they
+        use at 0 and never build a Philox generator."""
+        derived, built = [], []
+        philox = np.random.Philox
+        monkeypatch.setattr(core.np.random, "Philox", lambda *a: built.append(a) or philox(*a))
 
         class RecordingRng(RngState):
             def substream(self, *ids):
@@ -230,9 +214,15 @@ class TestRngState:
             for view, order in ((MultimodalTargetLm, 3), (TextOnlyDraftLm, 2))
         )
         cfg = SpdConfig(gamma=3, mode="greedy", max_new_tokens=32)
-        spd_generate(target, draft, MultimodalPrompt((1,), (2, 3)), cfg, RecordingRng(5))
+        prompt = MultimodalPrompt((1,), (2, 3))
+        spd_generate(target, draft, prompt, cfg, RecordingRng(5))
+        baseline_rng = RngState(5, (0,))
+        autoregressive_generate(target, prompt, 32, "greedy", baseline_rng)
         assert len(derived) == 3
-        assert [s.counter for s in derived] == [0, 0, 0]
+        assert [s.counter for s in derived + [baseline_rng]] == [0, 0, 0, 0]
+        assert built == []
+        RngState(5).uniform()
+        assert len(built) == 1
 
     def test_streams_independent_of_position(self):
         """substream() depends only on identity, not on draws already taken."""

@@ -5,10 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_model, random_prompt, random_vocab
+from helpers import FixedUniform, random_dist, random_model, random_prompt, random_vocab
 
 from mmspec import engine
-from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize
+from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize, sample
 from mmspec.engine import (
     BlockRecord,
     BlockTrace,
@@ -54,9 +54,9 @@ class PrefixLengthSpy(NgramLm):
         self.lengths.append(len(prefix))
         return super().next_dist(prefix)
 
-    def score_block(self, prefix, block, *, max_block=None):
+    def score_block(self, prefix, block):
         self.lengths.append(len(prefix))
-        return super().score_block(prefix, block, max_block=max_block)
+        return super().score_block(prefix, block)
 
 
 class SpyTarget(QueryCounter, MultimodalTargetLm):
@@ -178,7 +178,7 @@ class TestVerifyStochastic:
     def test_shape_mismatch(self):
         blk = DraftBlock((0,), (ProbDist([0.5, 0.5]),))
         with pytest.raises(ShapeMismatchError):
-            verify_stochastic([ProbDist([0.5, 0.5])], blk, RngState(0))
+            verify_stochastic([ProbDist([0.5, 0.5])], blk, RngState(0), RngState(1))
 
     def test_sure_accept_consumes_one_uniform_per_position(self):
         """q >= p at each drafted token: all accepted, 3 draws consumed."""
@@ -199,7 +199,8 @@ class TestVerifyStochastic:
         q = ProbDist([0.0, 1.0])
         blk = DraftBlock((0, 0), (p, p))
         rng = RngState(4, (1,))
-        out = verify_stochastic([q, q, q], blk, rng)
+        out = verify_stochastic([q, q, q], blk, rng, rng)
+        assert out.draft_tokens == (0, 0)
         assert out.accepted == 0
         assert out.correction_kind == "residual-resample"
         assert out.emitted == (1,)
@@ -244,6 +245,37 @@ class TestVerifyStochastic:
             assert (out.accepted == gamma) == (out.correction_kind == "bonus")
             assert 1 <= len(out.emitted) <= gamma + 1
             assert out.emitted[: out.accepted] == blk.tokens[: out.accepted]
+
+    def test_rows_a_few_ulps_apart(self):
+        """p = q +- k ulp per entry, with the largest uniform below 1 forced:
+        a drafted token is rejected exactly when p > q there, and the
+        correction is the residual's draw, or q's when the residual has no
+        positive mass (``residual_dist`` raises for such a pair)."""
+        below_one = float(np.nextafter(1.0, 0.0))
+        p = ProbDist([0.5, 0.25, 0.25])
+        q = ProbDist([np.nextafter(0.5, 0.0), 0.25, 0.25])
+        out = verify_stochastic([q, q], DraftBlock((0,), (p,)), FixedUniform(below_one), RngState(0))
+        assert (out.accepted, out.correction_kind) == (0, "residual-resample")
+        rng = np.random.default_rng(75)
+        no_residual = 0
+        for trial in range(400):
+            q = random_dist(rng, int(rng.integers(2, 7)), allow_zeros=True)
+            ulps = rng.integers(-4, 5, len(q))
+            p = ProbDist(np.maximum(q.probs + ulps * np.spacing(q.probs), 0.0))
+            tok = int(rng.choice(np.flatnonzero(p.probs > 0.0)))
+            out = verify_stochastic(
+                [q, q], DraftBlock((tok,), (p,)), FixedUniform(below_one), RngState(trial, (2,))
+            )
+            if p.probs[tok] <= q.probs[tok]:
+                assert (out.accepted, out.correction_kind) == (1, "bonus")
+                continue
+            try:
+                res = residual_dist(q, p)
+            except AllZeroError:
+                res, no_residual = q, no_residual + 1
+            assert out.accepted == 0 and out.correction_kind == "residual-resample"
+            assert out.emitted == (sample(res, RngState(trial, (2,))),)
+        assert no_residual > 20
 
 
 class TestVerifyGreedy:

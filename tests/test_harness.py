@@ -3,7 +3,7 @@
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import fmean
 
@@ -66,7 +66,7 @@ def load_pair(cfg):
 
 
 def rendered_prompts(cfg):
-    tok = CharTokenizer(cfg.alphabet)
+    tok = CharTokenizer()
     prompts = []
     for rec in load_dataset(cfg.dataset):
         rendered = render_template(cfg.template, rec, tok)
@@ -321,10 +321,9 @@ class TestExperimentConfig:
                 ExperimentConfig.from_file(path)
 
     def test_from_dict_unknown_and_missing_keys(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
-            ExperimentConfig.from_dict(
-                {"target_model": "t", "draft_model": "d", "dataset": "x", "order": 3}
-            )
+        for extra in ({"order": 3}, {"alphabet": "abc"}):
+            with pytest.raises(ValueError, match="unknown config fields"):
+                ExperimentConfig.from_dict({"target_model": "t", "draft_model": "d", "dataset": "x", **extra})
         with pytest.raises(ValueError, match="missing required"):
             ExperimentConfig.from_dict({"target_model": "t"})
 
@@ -366,10 +365,9 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(path)
 
     def test_summary_uses_basenames(self, demo_cfg):
-        summary = demo_cfg.summary()
-        assert summary["target_model"] == "target.json"
-        assert summary["dataset"] == "demo.jsonl"
-        assert "alphabet" not in summary
+        """The echo holds every field, with file names for the path fields."""
+        names = {"target_model": "target.json", "draft_model": "draft.json", "dataset": "demo.jsonl"}
+        assert demo_cfg.summary() == {**asdict(demo_cfg), **names, "gammas": [3, 5]}
 
 
 class TestTrainModels:
@@ -400,31 +398,19 @@ class TestHarnessGeneration:
     def test_greedy_losslessness_every_gamma(self, demo_cfg):
         """SPD output text equals the baseline text for all prompts and gammas."""
         target, draft = load_pair(demo_cfg)
+        cfg = replace(demo_cfg, mode="greedy", max_new_tokens=64, seed=0)
         for gamma in (1, 2, 3, 5):
             for idx, (pid, prompt) in enumerate(rendered_prompts(demo_cfg)):
-                baseline, spd, _ = generate_for_prompt(
-                    target,
-                    draft,
-                    prompt,
-                    gamma=gamma,
-                    mode="greedy",
-                    max_new_tokens=64,
-                    stop_on_eos=True,
-                    seed=0,
-                    prompt_index=idx,
-                )
+                baseline, spd, _ = generate_for_prompt(target, draft, prompt, cfg, gamma=gamma, prompt_index=idx)
                 assert spd == baseline, f"{pid} diverged at gamma={gamma}"
 
     def test_baseline_ignores_gamma(self, demo_cfg):
         target, draft = load_pair(demo_cfg)
         _, prompt = rendered_prompts(demo_cfg)[0]
+        cfg = replace(demo_cfg, mode="stochastic", max_new_tokens=32, seed=7)
         outs = []
         for gamma in (1, 5):
-            baseline, _, _ = generate_for_prompt(
-                target, draft, prompt,
-                gamma=gamma, mode="stochastic", max_new_tokens=32,
-                stop_on_eos=True, seed=7, prompt_index=0,
-            )
+            baseline, _, _ = generate_for_prompt(target, draft, prompt, cfg, gamma=gamma, prompt_index=0)
             outs.append(baseline)
         assert outs[0] == outs[1]
 
@@ -433,11 +419,8 @@ class TestHarnessGeneration:
         _, prompt = rendered_prompts(demo_cfg)[3]
         results = []
         for seed in (0, 123):
-            _, spd, _ = generate_for_prompt(
-                target, draft, prompt,
-                gamma=3, mode="greedy", max_new_tokens=48,
-                stop_on_eos=True, seed=seed, prompt_index=3,
-            )
+            cfg = replace(demo_cfg, mode="greedy", max_new_tokens=48, seed=seed)
+            _, spd, _ = generate_for_prompt(target, draft, prompt, cfg, gamma=3, prompt_index=3)
             results.append(spd)
         assert results[0] == results[1]
 
@@ -448,11 +431,8 @@ class TestHarnessGeneration:
         for idx, (_, prompt) in enumerate(prompts[:5]):
             runs = []
             for seed in (0, 0, 1):
-                _, spd, _ = generate_for_prompt(
-                    target, draft, prompt,
-                    gamma=3, mode="stochastic", max_new_tokens=32,
-                    stop_on_eos=True, seed=seed, prompt_index=idx,
-                )
+                cfg = replace(demo_cfg, mode="stochastic", max_new_tokens=32, seed=seed)
+                _, spd, _ = generate_for_prompt(target, draft, prompt, cfg, gamma=3, prompt_index=idx)
                 runs.append(spd)
             assert runs[0] == runs[1], "same seed must reproduce the same output"
             differs = differs or runs[0] != runs[2]
@@ -563,7 +543,7 @@ class TestQualitativeTrace:
         return next(line for line in text.splitlines() if line.startswith("output: "))
 
     def test_normal_pair_shows_corrections(self, demo_cfg):
-        text = qualitative_trace(demo_cfg, "p00", gamma=3)
+        text = qualitative_trace(demo_cfg, "p00")
         assert "prompt p00" in text
         assert "legend:" in text
         assert "tau=" in text

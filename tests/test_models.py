@@ -12,7 +12,6 @@ from helpers import random_corpus, random_dist, random_model, random_prompt, ran
 from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
 from mmspec.models import (
     BOS,
-    BlockTooLongError,
     EmptyCorpusError,
     ModelFormatError,
     MultimodalTargetLm,
@@ -86,11 +85,6 @@ class TestScoreBlock:
             for j in range(len(block) + 1):
                 want = steps.next_dist(prefix + block[:j])
                 np.testing.assert_array_equal(got[j].probs, want.probs)
-
-    def test_block_too_long(self):
-        m = train_ngram([[0, 1, 0, 1]], order=2, alpha=1.0, vocab=VOCAB2)
-        with pytest.raises(BlockTooLongError):
-            m.score_block((0,), (1, 0, 1), max_block=2)
 
     def test_empty_block_matches_next_dist(self):
         m = train_ngram([[0, 1, 0, 1]], order=2, alpha=1.0, vocab=VOCAB2)

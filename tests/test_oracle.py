@@ -25,6 +25,19 @@ def tiny_pair(rng, vocab_size=3, target_order=2, draft_order=1):
     return target, draft, prompt, vocab
 
 
+class FixedRowView:
+    """View stand-in whose every query answers the same row."""
+
+    def __init__(self, row, vocab):
+        self.row, self.vocab = row, vocab
+
+    def next_dist(self, prompt, generated=()):
+        return self.row
+
+    def score_block(self, prompt, generated, block):
+        return [self.row] * (len(block) + 1)
+
+
 def seq_dist_gap(a, b):
     """L-infinity distance between two sparse sequence distributions."""
     keys = set(a) | set(b)
@@ -52,6 +65,19 @@ class TestInducedStepDist:
         d = random_dist(rng, 5)
         got = induced_step_dist(d, d)
         assert np.max(np.abs(got.probs - d.probs)) < 1e-15
+
+    def test_no_residual_mass_resamples_from_q(self):
+        """q <= p entrywise but q_0 < p_0: token 0's rejection mass r is
+        resampled from q, in the step marginal and in the enumeration, so
+        both give q + r * q instead of dropping r."""
+        vocab = Vocab(size=3, eos=2)
+        p, q = ProbDist([0.5 + 1e-12, 0.25, 0.25]), ProbDist([0.5, 0.25, 0.25])
+        target, draft = FixedRowView(q, vocab), FixedRowView(p, vocab)
+        spd = enumerate_spd(target, draft, MultimodalPrompt((), (0,)), 1, 1, stop_on_eos=False)
+        step = induced_step_dist(p, q).probs
+        want = q.probs * (1.0 + (p.probs[0] - q.probs[0]))
+        np.testing.assert_allclose(step, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([spd[(tok,)] for tok in range(vocab.size)], want, rtol=0, atol=1e-15)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(82)
