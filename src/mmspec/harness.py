@@ -256,12 +256,18 @@ def render_template(template: str, record: PromptRecord, tokenizer: CharTokenize
     return RenderedPrompt(tuple(tokenizer.encode(body)), 0)
 
 
+# A record's optional JSON fields, named as PromptRecord's: lists with the type of their items, and strings.
+_LIST_FIELDS = {"image_ctx": int, "tokens": int, "options": str}
+_TEXT_FIELDS = ("prompt_text", "question", "context")
+
+
 def load_dataset(path: str | Path) -> list[PromptRecord]:
     """Read prompt records from a JSON-lines file.
 
     Raises:
-        ValueError: on malformed lines, duplicate ids, or an empty dataset,
-            with the offending line number in the message.
+        ValueError: on malformed lines, fields of the wrong type, duplicate
+            ids, or an empty dataset, with the offending line number in the
+            message.
     """
     path = Path(path)
     records: list[PromptRecord] = []
@@ -275,20 +281,17 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
             raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise ValueError(f"{path}:{lineno}: expected an object with an 'id' field")
-        known = {"id", "image_ctx", "prompt_text", "tokens", "question", "options", "context"}
-        extra = set(obj) - known
+        extra = set(obj) - {"id", *_LIST_FIELDS, *_TEXT_FIELDS}
         if extra:
             raise ValueError(f"{path}:{lineno}: unknown fields {sorted(extra)}")
         try:
-            rec = PromptRecord(
-                prompt_id=str(obj["id"]),
-                image_ctx=tuple(int(t) for t in obj.get("image_ctx", ())),
-                prompt_text=obj.get("prompt_text"),
-                tokens=tuple(int(t) for t in obj["tokens"]) if "tokens" in obj else None,
-                question=obj.get("question"),
-                options=tuple(str(o) for o in obj["options"]) if "options" in obj else None,
-                context=obj.get("context"),
-            )
+            for key, item in _LIST_FIELDS.items():  # exact types: a bool, float or string id is an error
+                if key in obj and (type(obj[key]) is not list or any(type(v) is not item for v in obj[key])):
+                    raise TypeError(f"{key!r} must be a list of {item.__name__}, got {obj[key]!r}")
+            for key in _TEXT_FIELDS:
+                if key in obj and type(obj[key]) is not str:
+                    raise TypeError(f"{key!r} must be a string, got {obj[key]!r}")
+            rec = PromptRecord(prompt_id=str(obj.pop("id")), **obj)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if rec.prompt_id in seen:

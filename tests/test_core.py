@@ -17,6 +17,7 @@ from mmspec.core import (
 )
 from mmspec import core
 from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
+from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
@@ -184,6 +185,38 @@ class TestArgmax:
 
     def test_plain_max(self):
         assert argmax(ProbDist([0.1, 0.7, 0.2])) == 1
+
+    def test_second_query_calls_no_numpy(self, monkeypatch):
+        d = ProbDist([0.1, 0.7, 0.2])
+        calls = []
+        real = np.argmax
+        monkeypatch.setattr(core.np, "argmax", lambda a: calls.append(a) or real(a))
+        assert argmax(d) == 1 and len(calls) == 1
+        assert argmax(d) == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_equals_numpy_on_bundled_corpus_rows(self, order):
+        """Every memoized row of a bundled-corpus model, the shared uniform
+        row and rows whose largest count is tied among them."""
+        tok = CharTokenizer()
+        lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
+        seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
+        m = train_ngram(seqs, order, 0.1, tok.vocab)
+        for ctx in m._counts:
+            m.next_dist(ctx)
+        rows = [*m._rows.values(), m._uniform]
+        tied = [d for d in rows if np.count_nonzero(d.probs == d.probs.max()) > 1]
+        assert m._uniform in tied and (order == 1 or len(tied) > 1)
+        for d in rows:
+            assert argmax(d) == argmax(d) == int(np.argmax(d.probs))
+
+
+class TestCdf:
+    def test_is_a_read_only_view_of_the_cumsum(self):
+        d = ProbDist([0.25, 0.0, 0.75])
+        with pytest.raises(TypeError):
+            d.cdf[0] = 0.5
+        assert d.cdf.tolist() == np.cumsum(d.probs).tolist() == [0.25, 0.25, 1.0]
 
 
 class TestRngState:

@@ -267,6 +267,27 @@ class TestLoadDataset:
         assert records[0].tokens == (1, 2)
         assert records[0].image_ctx == (3,)
 
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("image_ctx", '"image_ctx": [1.5, 2], "prompt_text": "x"'),
+            ("image_ctx", '"image_ctx": [true], "prompt_text": "x"'),
+            ("image_ctx", '"image_ctx": "12", "prompt_text": "x"'),
+            ("tokens", '"tokens": [3.7]'),
+            ("tokens", '"tokens": ["3"]'),
+            ("prompt_text", '"prompt_text": 5'),
+            ("question", '"prompt_text": "x", "question": ["q"]'),
+            ("options", '"prompt_text": "x", "options": "ab"'),
+            ("options", '"prompt_text": "x", "options": [1]'),
+        ],
+    )
+    def test_wrong_field_type_names_line(self, tmp_path, name, fields):
+        """Ids must be JSON integers and text fields strings; nothing is coerced."""
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"id": "a", "prompt_text": "x"}\n{"id": "b", %s}\n' % fields, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"typed\.jsonl:2: '{name}'"):
+            load_dataset(path)
+
     def test_conflicting_payload_reports_line(self, tmp_path):
         path = tmp_path / "conflict.jsonl"
         path.write_text('{"id": "a", "prompt_text": "x", "tokens": [1]}\n', encoding="utf-8")
