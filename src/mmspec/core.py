@@ -194,7 +194,9 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
     sampled exactly.
     """
     u = rng.uniform()
-    cdf = dist.cdf
+    cdf = dist._cdf
+    if cdf is None:
+        cdf = dist.cdf
     idx = bisect.bisect_right(cdf, u)  # first index whose cumulative sum exceeds u
     if idx >= len(cdf):
         # u landed past a cumulative sum that rounded slightly below 1.

@@ -311,11 +311,12 @@ def autoregressive_generate(
         raise ValueError("stochastic mode needs an rng")
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+    eos = target.vocab.eos
     out: list[TokenId] = []
     while len(out) < max_new_tokens:
         d = target.next_dist(prompt, out)
         tok = argmax(d) if mode == "greedy" else sample(d, rng)
         out.append(tok)
-        if stop_on_eos and tok == target.vocab.eos:
+        if stop_on_eos and tok == eos:
             break
     return out

@@ -265,9 +265,9 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
     """Read prompt records from a JSON-lines file.
 
     Raises:
-        ValueError: on malformed lines, fields of the wrong type, duplicate
-            ids, or an empty dataset, with the offending line number in the
-            message.
+        ValueError: on malformed lines, fields of the wrong type (a prompt
+            id must be a non-empty string), duplicate ids, or an empty
+            dataset, with the offending line number in the message.
     """
     path = Path(path)
     records: list[PromptRecord] = []
@@ -291,7 +291,9 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
             for key in _TEXT_FIELDS:
                 if key in obj and type(obj[key]) is not str:
                     raise TypeError(f"{key!r} must be a string, got {obj[key]!r}")
-            rec = PromptRecord(prompt_id=str(obj.pop("id")), **obj)
+            if type(obj["id"]) is not str or not obj["id"]:
+                raise TypeError(f"'id' must be a non-empty string, got {obj['id']!r}")
+            rec = PromptRecord(prompt_id=obj.pop("id"), **obj)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if rec.prompt_id in seen:
@@ -330,6 +332,8 @@ class ExperimentConfig:
         self.gammas = tuple(int(g) for g in self.gammas)
         if not self.gammas:
             raise ValueError("gammas must be a non-empty list")
+        if len(set(self.gammas)) < len(self.gammas):
+            raise ValueError(f"gammas must not repeat a value, got {list(self.gammas)}")
         for gamma in self.gammas:  # each rule is checked by the type that applies it
             SpdConfig(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
         CostModel(self.cost_c)

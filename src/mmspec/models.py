@@ -240,7 +240,8 @@ def load_ngram(path: str | Path) -> NgramLm:
 
 
 class PromptConditionedLm:
-    """Adapts a flat-prefix model to ``(prompt, generated)`` queries."""
+    """Adapts a flat-prefix model to ``(prompt, generated)`` queries: each reads
+    ``base``'s row memo with the flat prefix's window and builds a row only on a miss."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
@@ -262,12 +263,25 @@ class PromptConditionedLm:
         return window
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
-        return self.base.next_dist(self.window(prompt, generated))
+        base = self.base
+        need = base.order - 1
+        key = tuple(generated[-need:]) if 0 < need <= len(generated) else base.context(self.window(prompt, generated))
+        row = base._rows.get(key)
+        return base._row(key) if row is None else row
 
     def score_block(
         self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]
     ) -> list[ProbDist]:
-        return self.base.score_block(self.window(prompt, generated), block)
+        base = self.base
+        need = base.order - 1
+        key = tuple(generated[-need:]) if 0 < need <= len(generated) else base.context(self.window(prompt, generated))
+        window, rows = key + tuple(block), base._rows
+        dists = []
+        for j in range(len(block) + 1):
+            ctx = window[j : j + need]
+            row = rows.get(ctx)
+            dists.append(base._row(ctx) if row is None else row)
+        return dists
 
 
 class MultimodalTargetLm(PromptConditionedLm):

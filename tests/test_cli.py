@@ -82,6 +82,18 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: gamma must be >= 1")
 
+    @pytest.mark.parametrize("override", [[], ["--gamma", "3"]], ids=["file", "gamma-override"])
+    def test_repeated_gamma_rejected_before_loading(self, tmp_path, capsys, override):
+        """A config whose gammas repeat fails with the file and field named,
+        with or without a ``--gamma`` override, before any model is opened."""
+        cfg = tmp_path / "config.json"
+        repeated = {"target_model": "t.json", "draft_model": "d.json", "dataset": "x.jsonl", "gammas": [3, 3]}
+        cfg.write_text(json.dumps(repeated), encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *override])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: gammas must not repeat")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         obj = json.loads((workspace / "config.json").read_text(encoding="utf-8"))

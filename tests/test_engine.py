@@ -24,7 +24,7 @@ from mmspec.engine import (
     verify_greedy,
     verify_stochastic,
 )
-from mmspec.models import MultimodalTargetLm, NgramLm, TextOnlyDraftLm, train_ngram
+from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
 class QueryCounter:
@@ -43,20 +43,16 @@ class QueryCounter:
         return super().score_block(*args, **kwargs)
 
 
-class PrefixLengthSpy(NgramLm):
-    """NgramLm that records ``len(prefix)`` of every query it answers."""
+class KeyRecorder(dict):
+    """Row memo that records every context key it is asked for."""
 
-    def __init__(self, model):
-        super().__init__(model.vocab, model.order, model.alpha, model._counts)
-        self.lengths = []
+    def __init__(self):
+        super().__init__()
+        self.asked = []
 
-    def next_dist(self, prefix):
-        self.lengths.append(len(prefix))
-        return super().next_dist(prefix)
-
-    def score_block(self, prefix, block):
-        self.lengths.append(len(prefix))
-        return super().score_block(prefix, block)
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
 
 
 class SpyTarget(QueryCounter, MultimodalTargetLm):
@@ -450,12 +446,15 @@ class TestAutoregressive:
 class TestWindowSizedQueries:
     @pytest.mark.parametrize("target_order,draft_order", [(3, 2), (4, 4), (2, 1)])
     def test_models_never_see_more_than_their_window(self, target_order, draft_order):
-        """Over long prompts and 128-token outputs, every query hands the base
-        model at most ``order - 1`` ids, however long the prefix has grown."""
+        """Over long prompts and 128-token outputs, every row lookup keys the
+        base model's memo with exactly ``order - 1`` ids, however long the
+        prefix has grown."""
         rng = np.random.default_rng(73)
         vocab = random_vocab(rng, min_size=8)
-        target_base = PrefixLengthSpy(random_model(rng, vocab, order=target_order))
-        draft_base = PrefixLengthSpy(random_model(rng, vocab, order=draft_order))
+        target_base = random_model(rng, vocab, order=target_order)
+        draft_base = random_model(rng, vocab, order=draft_order)
+        for base in (target_base, draft_base):
+            base._rows = KeyRecorder()
         target, draft = MultimodalTargetLm(target_base), TextOnlyDraftLm(draft_base)
         prompt = MultimodalPrompt(
             image_ctx=rng.integers(0, vocab.size, 64).tolist(), text=rng.integers(0, vocab.size, 256).tolist()
@@ -467,7 +466,7 @@ class TestWindowSizedQueries:
             ar = autoregressive_generate(target, prompt, 128, mode, RngState(6), stop_on_eos=False)
             assert len(ar) == 128
         for base in (target_base, draft_base):
-            assert base.lengths and max(base.lengths) <= base.order - 1
+            assert base._rows.asked and {len(key) for key in base._rows.asked} == {base.order - 1}
 
 
 class TestResidualReuse:

@@ -279,12 +279,21 @@ class TestLoadDataset:
             ("question", '"prompt_text": "x", "question": ["q"]'),
             ("options", '"prompt_text": "x", "options": "ab"'),
             ("options", '"prompt_text": "x", "options": [1]'),
+            ("id", '"id": null, "prompt_text": "x"'),
+            ("id", '"id": true, "prompt_text": "x"'),
+            ("id", '"id": [1], "prompt_text": "x"'),
+            ("id", '"id": 3, "prompt_text": "x"'),
+            ("id", '"id": 1.5, "prompt_text": "x"'),
+            ("id", '"id": "", "prompt_text": "x"'),
         ],
     )
     def test_wrong_field_type_names_line(self, tmp_path, name, fields):
-        """Ids must be JSON integers and text fields strings; nothing is coerced."""
+        """Prompt ids must be non-empty strings, token ids JSON integers and
+        text fields strings; nothing is coerced."""
         path = tmp_path / "typed.jsonl"
-        path.write_text('{"id": "a", "prompt_text": "x"}\n{"id": "b", %s}\n' % fields, encoding="utf-8")
+        if name != "id":
+            fields = '"id": "b", ' + fields
+        path.write_text('{"id": "a", "prompt_text": "x"}\n{%s}\n' % fields, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"typed\.jsonl:2: '{name}'"):
             load_dataset(path)
 
@@ -340,6 +349,15 @@ class TestExperimentConfig:
             path.write_text(json.dumps({"target_model": "t", "draft_model": "d", "dataset": "x", field: value}))
             with pytest.raises(ValueError, match=re.escape(str(path)) + f": config field {field} must be"):
                 ExperimentConfig.from_file(path)
+
+    def test_repeated_gamma_rejected_naming_file(self, tmp_path):
+        """A repeated gamma would run every generation twice and write duplicate rows and aggregates."""
+        with pytest.raises(ValueError, match="gammas must not repeat"):
+            self.base(gammas=(3, 5, 3))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target_model": "t", "draft_model": "d", "dataset": "x", "gammas": [3, 3]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: gammas must not repeat a value, got [3, 3]")):
+            ExperimentConfig.from_file(path)
 
     def test_from_dict_unknown_and_missing_keys(self):
         for extra in ({"order": 3}, {"alphabet": "abc"}):

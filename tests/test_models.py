@@ -321,3 +321,44 @@ class TestPromptViews:
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
                         np.testing.assert_array_equal(g.probs, w.probs)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_views_hand_out_memoized_rows_without_model_calls(self, order, monkeypatch):
+        """A view's ``next_dist`` and each ``score_block`` entry are the very row
+        objects ``base.next_dist``/``base.score_block`` return for the whole flat
+        prefix, also for outputs shorter than the window and for order 1 (key
+        ``()``); a repeated query is a memo hit that calls no ``NgramLm`` method."""
+        calls = Counter()
+        for name in ("next_dist", "score_block", "_row"):
+
+            def spy(*args, _name=name, _original=getattr(NgramLm, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(NgramLm, name, spy)
+        rng = np.random.default_rng(400 + order)
+        vocab = Vocab(size=3, eos=0)
+        base = random_model(rng, vocab, order=order, n_seqs=60)
+        queries = []
+        for _ in range(100):
+            prompt = random_prompt(rng, vocab, max_image=4, max_text=order)
+            gen = rng.integers(0, vocab.size, int(rng.integers(0, order + 2))).tolist()
+            block = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 4))).tolist())
+            for view, head in (
+                (MultimodalTargetLm(base), prompt.image_ctx + prompt.text),
+                (TextOnlyDraftLm(base), prompt.text),
+            ):
+                full = head + tuple(gen)
+                row, rows = view.next_dist(prompt, gen), view.score_block(prompt, gen, block)
+                assert row is base.next_dist(full)
+                want = base.score_block(full, block)
+                assert len(rows) == len(want) == len(block) + 1
+                assert all(got is w for got, w in zip(rows, want))
+                queries.append((view, prompt, gen, block, row, rows))
+        assert calls["_row"] > 0  # the spies are live: first queries built rows
+        calls.clear()
+        for view, prompt, gen, block, row, rows in queries:
+            assert view.next_dist(prompt, gen) is row
+            again = view.score_block(prompt, gen, block)
+            assert len(again) == len(rows) and all(got is w for got, w in zip(again, rows))
+        assert not calls
