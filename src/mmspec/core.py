@@ -59,13 +59,15 @@ class ProbDist:
     """Dense float64 distribution over token ids.
 
     The underlying array is validated on construction (non-negative entries
-    summing to one within ``PROB_SUM_TOL``) and then frozen, so instances can
-    be shared without defensive copies.  Two answers are computed on first
-    use and cached, so a memoized row pays numpy only once for each: the
-    index :func:`argmax` returns, and the cumulative sums :func:`sample`
-    bisects, exposed as a read-only ``memoryview`` because indexing one
-    costs about half what indexing an array does.  ``residuals`` holds, per
-    draft row, the residual ``engine.residual_dist`` built.
+    summing to one within ``PROB_SUM_TOL``; a NaN or infinite entry fails)
+    and then frozen, so instances can be shared without defensive copies.
+    :meth:`table` builds one instance per row of a matrix, checking the
+    matrix once.  Two answers are computed on first use and cached, so a
+    row pays numpy only once for each: the index :func:`argmax` returns,
+    and the cumulative sums :func:`sample` bisects, exposed as a read-only
+    ``memoryview`` because indexing one costs about half what indexing an
+    array does.  ``residuals`` holds, per draft row, the residual
+    ``engine.residual_dist`` built.
     """
 
     __slots__ = ("probs", "_cdf", "_top", "residuals")
@@ -74,13 +76,25 @@ class ProbDist:
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-d vector of >= 2 entries, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
-        arr.setflags(write=False)
-        self.probs = arr
+        self._adopt(_checked(arr))
+
+    @classmethod
+    def table(cls, matrix: np.ndarray) -> list[ProbDist]:
+        """One distribution per row of a 2-d ``matrix``, each a read-only view
+        of it, once the whole matrix is validated.  A float64 array is
+        frozen in place, not copied."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] < 2:
+            raise ValueError(f"expected a 2-d matrix of rows of >= 2 entries, got shape {matrix.shape}")
+        dists = []
+        for probs in _checked(matrix):
+            dist = cls.__new__(cls)
+            dist._adopt(probs)
+            dists.append(dist)
+        return dists
+
+    def _adopt(self, probs: np.ndarray) -> None:
+        self.probs = probs
         self._cdf: memoryview | None = None
         self._top: TokenId | None = None
         self.residuals: dict[ProbDist, ProbDist] = {}
@@ -166,6 +180,21 @@ class RngState:
         return f"RngState(seed={self.seed}, stream={self.stream}, counter={self.counter})"
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr``, frozen, once each row along its last axis is non-negative and
+    sums to one within ``PROB_SUM_TOL``.  Both checks are written to fail on
+    NaN, and an infinite entry fails one of them."""
+    if not np.all(arr >= 0.0):
+        raise ValueError("probabilities must be non-negative, not NaN")
+    totals = arr.sum(axis=-1)
+    ok = np.abs(totals - 1.0) <= PROB_SUM_TOL
+    if not ok.all():
+        got = float(totals.flat[np.flatnonzero(~ok)[0]])
+        raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {got!r}")
+    arr.setflags(write=False)
+    return arr
+
+
 # --------------------------------------------------------------------------- #
 #  Probability operations
 # --------------------------------------------------------------------------- #
@@ -176,12 +205,15 @@ def normalize(raw: np.ndarray | Sequence[float]) -> ProbDist:
 
     Raises:
         AllZeroError: if no entry is positive.
-        ValueError: if any entry is negative.
+        ValueError: if any entry is negative or NaN, or the weights do not
+            sum to a finite total.
     """
     arr = np.asarray(raw, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ValueError("weights must be non-negative")
+    if not np.all(arr >= 0.0):
+        raise ValueError("weights must be non-negative, not NaN")
     total = float(arr.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"weights must sum to a finite total, got {total!r}")
     if total <= 0.0:
         raise AllZeroError("cannot normalize an all-zero weight vector")
     return ProbDist(arr / total)
@@ -207,7 +239,7 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
 def argmax(dist: ProbDist) -> TokenId:
     """Index of the largest probability; ties break to the lowest index.
 
-    Cached on the row, so a memoized row calls numpy once.
+    Cached on the row, so a table row calls numpy once.
     """
     top = dist._top
     if top is None:

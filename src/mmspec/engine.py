@@ -150,7 +150,7 @@ def accept_prob(p_val: float, q_val: float) -> float:
 def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Normalized ``max(0, q - p)``: where to resample after a rejection.
 
-    Built once per ``(q, p)`` pair of (memoized, so recurring) model rows
+    Built once per ``(q, p)`` pair of (shared, so recurring) model rows
     and kept in ``q.residuals`` under ``p``; a failed build is not kept.
 
     Raises:

@@ -60,9 +60,11 @@ class NgramLm:
     training yields the uniform distribution; otherwise
     ``(count + alpha) / (total + alpha * V)``.
 
-    Each context's row is built and validated on its first query, then
-    memoized; unseen contexts share one uniform row.  The memo never changes
-    an answer, so it is the model's only state and a pure cache.
+    :attr:`rows` holds the row of every context seen in training.  It is
+    built on first use, in one numpy pass over all the counts that is
+    validated as a whole, so loading a model does no extra work.  A query
+    is then one ``dict.get`` that falls back to the one shared uniform row;
+    unseen contexts are never stored.
     """
 
     def __init__(
@@ -74,14 +76,27 @@ class NgramLm:
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if not alpha > 0:
-            raise ValueError(f"smoothing alpha must be > 0, got {alpha}")
+        alpha = float(alpha)
+        if not (alpha > 0 and np.isfinite(alpha * vocab.size)):
+            raise ValueError(f"smoothing alpha must be > 0 and alpha * vocab size finite, got {alpha}")
         self.vocab = vocab
         self.order = order
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self._counts = counts
         self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
-        self._rows: dict[tuple[TokenId, ...], ProbDist] = {}
+        self._rows: dict[tuple[TokenId, ...], ProbDist] | None = None
+
+    @property
+    def rows(self) -> dict[tuple[TokenId, ...], ProbDist]:
+        """Row of every context seen in training, keyed by its window; built on first use."""
+        if self._rows is None:
+            size = self.vocab.size
+            counts = np.array(list(self._counts.values())).reshape(len(self._counts), size)
+            probs = counts + self.alpha
+            probs /= (counts.sum(axis=1) + self.alpha * size)[:, None]
+            # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
+            self._rows = dict(zip(self._counts, type(self._uniform).table(probs)))
+        return self._rows
 
     def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
         """BOS-padded window of the last ``order - 1`` prefix tokens."""
@@ -93,22 +108,9 @@ class NgramLm:
             window = (BOS,) * (need - len(window)) + window
         return window
 
-    def _row(self, context: tuple[TokenId, ...]) -> ProbDist:
-        """Memoized next-token distribution for a context window."""
-        row = self._rows.get(context)
-        if row is None:
-            counts = self._counts.get(context)
-            if counts is None:
-                row = self._uniform
-            else:
-                total = int(counts.sum())
-                row = ProbDist((counts + self.alpha) / (total + self.alpha * self.vocab.size))
-            self._rows[context] = row
-        return row
-
     def next_dist(self, prefix: Sequence[TokenId]) -> ProbDist:
         """Distribution over the next token after ``prefix``."""
-        return self._row(self.context(prefix))
+        return self.rows.get(self.context(prefix), self._uniform)
 
     def score_block(self, prefix: Sequence[TokenId], block: Sequence[TokenId]) -> list[ProbDist]:
         """Distributions at every position along ``block``, plus one more.
@@ -119,10 +121,9 @@ class NgramLm:
         regardless of block length — that one-call accounting is what makes
         speculative verification cheaper than token-by-token scoring.
         """
-        block = tuple(block)
-        window = self.context(prefix) + block
-        need = self.order - 1
-        return [self._row(window[j : j + need]) for j in range(len(block) + 1)]
+        window = self.context(prefix) + tuple(block)
+        need, get, uniform = self.order - 1, self.rows.get, self._uniform
+        return [get(window[j : j + need], uniform) for j in range(len(block) + 1)]
 
 
 def train_ngram(
@@ -190,8 +191,10 @@ def load_ngram(path: str | Path) -> NgramLm:
         ModelFormatError: if the file is not valid ``ngram-v1``, including a
             non-integer header value, context id or count, a context of the
             wrong length or with an id outside the vocabulary (other than
-            :data:`BOS`), a repeated context, or a count row of the wrong
-            width or with a negative count.
+            :data:`BOS`), a repeated context, a count row of the wrong
+            width or with a negative count, or an ``alpha`` that is not a
+            JSON number, not finite and > 0, or whose ``alpha * vocab_size``
+            overflows.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -205,10 +208,13 @@ def load_ngram(path: str | Path) -> NgramLm:
         if any(type(value) is not int for value in header):
             raise TypeError(f"vocab_size, eos and order must be integers, got {header}")
         vocab = Vocab(size=size, eos=eos)
-        alpha = float(payload["alpha"])
+        alpha = payload["alpha"]
+        if type(alpha) not in (int, float):
+            raise TypeError(f"alpha must be a number, got {alpha!r}")
+        alpha = float(alpha)
         contexts = [tuple(ctx) for ctx, _ in payload["counts"]]
         table = np.array([row for _, row in payload["counts"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
     if contexts and (table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i"):
         raise ModelFormatError(f"{path}: count rows must be {vocab.size} integers each, got {table.dtype} {table.shape}")
@@ -240,13 +246,23 @@ def load_ngram(path: str | Path) -> NgramLm:
 
 
 class PromptConditionedLm:
-    """Adapts a flat-prefix model to ``(prompt, generated)`` queries: each reads
-    ``base``'s row memo with the flat prefix's window and builds a row only on a miss."""
+    """Adapts a flat-prefix model to ``(prompt, generated)`` queries.
+
+    A query keys ``base.rows``, which the view takes (building it if need be)
+    when it is made, with the BOS-padded window of the flat prefix: one key
+    and one ``dict.get`` that falls back to the shared uniform row.  Once the
+    output fills the window the key is the output's tail.  Before that it
+    is the prompt's BOS-padded tail topped up by the output, and that tail is
+    computed once per prompt."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
     def __init__(self, base: NgramLm) -> None:
         self.base = base
+        self._need = base.order - 1
+        self._get = base.rows.get
+        self._uniform = base._uniform
+        self._tail: tuple[MultimodalPrompt | None, tuple[TokenId, ...]] = (None, ())  # (prompt, its padded tail)
 
     @property
     def vocab(self) -> Vocab:
@@ -255,32 +271,34 @@ class PromptConditionedLm:
     def window(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
         """The last ``need = order - 1`` flat-prefix ids, ``(flat prefix)[-need:]``, without building the
         prefix: the output's tail, topped up from the text, then from the image context if the view sees it."""
-        need = self.base.order - 1
+        need = self._need
         window = tuple(generated[max(len(generated) - need, 0) :])
         if len(window) < need:
             short = self.sees_image and len(prompt.text) + len(window) < need
             window = (prompt.image_ctx + prompt.text if short else prompt.text)[len(window) - need :] + window
         return window
 
+    def _short_key(self, prompt: MultimodalPrompt, generated: Sequence[TokenId]) -> tuple[TokenId, ...]:
+        """The key for an output shorter than the window."""
+        tail = self._tail
+        if tail[0] is not prompt:
+            tail = self._tail = (prompt, self.base.context(self.window(prompt)))
+        return (tail[1] + tuple(generated))[-self._need :]
+
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
-        base = self.base
-        need = base.order - 1
-        key = tuple(generated[-need:]) if 0 < need <= len(generated) else base.context(self.window(prompt, generated))
-        row = base._rows.get(key)
-        return base._row(key) if row is None else row
+        n, need = len(generated), self._need
+        key = tuple(generated[n - need :]) if n >= need else self._short_key(prompt, generated)
+        return self._get(key, self._uniform)
 
     def score_block(
         self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]
     ) -> list[ProbDist]:
-        base = self.base
-        need = base.order - 1
-        key = tuple(generated[-need:]) if 0 < need <= len(generated) else base.context(self.window(prompt, generated))
-        window, rows = key + tuple(block), base._rows
-        dists = []
+        n, need = len(generated), self._need
+        key = tuple(generated[n - need :]) if n >= need else self._short_key(prompt, generated)
+        window, get, uniform = key + tuple(block), self._get, self._uniform
+        dists = []  # a loop: on Python 3.11 a comprehension costs a frame per call
         for j in range(len(block) + 1):
-            ctx = window[j : j + need]
-            row = rows.get(ctx)
-            dists.append(base._row(ctx) if row is None else row)
+            dists.append(get(window[j : j + need], uniform))
         return dists
 
 

@@ -58,6 +58,28 @@ class TestProbDist:
         with pytest.raises(ValueError):
             ProbDist([1.0])
 
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf]]
+    )
+    def test_rejects_nan_or_infinite(self, probs):
+        with pytest.raises(ValueError):
+            ProbDist(probs)
+        with pytest.raises(ValueError):
+            ProbDist.table([[0.5, 0.5], probs])
+
+    def test_table_rows_are_read_only_views_of_one_checked_matrix(self):
+        matrix = np.array([[0.25, 0.75], [1.0, 0.0]])
+        rows = ProbDist.table(matrix)
+        assert [d.probs.tolist() for d in rows] == matrix.tolist()
+        assert all(d.probs.base is matrix for d in rows)
+        for target in (matrix, rows[1].probs):
+            with pytest.raises(ValueError):
+                target[0] = 0.5
+        with pytest.raises(ValueError, match="got 1.1"):
+            ProbDist.table([[0.5, 0.5], [0.5, 0.6]])
+        with pytest.raises(ValueError):
+            ProbDist.table([0.5, 0.5])
+
     def test_array_is_frozen(self):
         """The stored vector cannot be mutated in place."""
         d = ProbDist([0.5, 0.5])
@@ -101,6 +123,13 @@ class TestNormalize:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             normalize([0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0], [-np.inf, 1.0]]
+    )
+    def test_nan_or_infinite_raises(self, weights):
+        with pytest.raises(ValueError):
+            normalize(weights)
 
     def test_idempotent(self):
         """normalize(normalize(w)) == normalize(w) within 1e-12, many random w."""
@@ -196,15 +225,13 @@ class TestArgmax:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_equals_numpy_on_bundled_corpus_rows(self, order):
-        """Every memoized row of a bundled-corpus model, the shared uniform
+        """Every row of a bundled-corpus model's table, the shared uniform
         row and rows whose largest count is tied among them."""
         tok = CharTokenizer()
         lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
         seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
         m = train_ngram(seqs, order, 0.1, tok.vocab)
-        for ctx in m._counts:
-            m.next_dist(ctx)
-        rows = [*m._rows.values(), m._uniform]
+        rows = [*m.rows.values(), m._uniform]
         tied = [d for d in rows if np.count_nonzero(d.probs == d.probs.max()) > 1]
         assert m._uniform in tied and (order == 1 or len(tied) > 1)
         for d in rows:

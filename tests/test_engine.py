@@ -44,10 +44,10 @@ class QueryCounter:
 
 
 class KeyRecorder(dict):
-    """Row memo that records every context key it is asked for."""
+    """Row table that records every context key it is asked for."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, rows):
+        super().__init__(rows)
         self.asked = []
 
     def get(self, key, default=None):
@@ -447,14 +447,14 @@ class TestWindowSizedQueries:
     @pytest.mark.parametrize("target_order,draft_order", [(3, 2), (4, 4), (2, 1)])
     def test_models_never_see_more_than_their_window(self, target_order, draft_order):
         """Over long prompts and 128-token outputs, every row lookup keys the
-        base model's memo with exactly ``order - 1`` ids, however long the
-        prefix has grown."""
+        base model's row table with exactly ``order - 1`` ids, however long
+        the prefix has grown."""
         rng = np.random.default_rng(73)
         vocab = random_vocab(rng, min_size=8)
         target_base = random_model(rng, vocab, order=target_order)
         draft_base = random_model(rng, vocab, order=draft_order)
         for base in (target_base, draft_base):
-            base._rows = KeyRecorder()
+            base._rows = KeyRecorder(base.rows)
         target, draft = MultimodalTargetLm(target_base), TextOnlyDraftLm(draft_base)
         prompt = MultimodalPrompt(
             image_ctx=rng.integers(0, vocab.size, 64).tolist(), text=rng.integers(0, vocab.size, 256).tolist()

@@ -10,6 +10,8 @@ import pytest
 from helpers import random_corpus, random_dist, random_model, random_prompt, random_vocab
 
 from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
+from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
+from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import (
     BOS,
     EmptyCorpusError,
@@ -70,7 +72,7 @@ class TestScoreBlock:
         """Block scoring equals one-at-a-time scoring bit for bit, orders 1-4.
 
         The sequential side uses its own model, so no row is shared through
-        the memo."""
+        the table."""
         rng = np.random.default_rng(51)
         for trial in range(40):
             vocab = random_vocab(rng)
@@ -109,7 +111,54 @@ def reference_rows(corpus, order, alpha, vocab):
 
 
 class TestRowMemo:
+    """The row table: every trained context's row, built on first use."""
+
     VOCAB = Vocab(size=6, eos=0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_table_rows_equal_per_row_formula(self, order):
+        """For a bundled-corpus model and random models, the table holds
+        exactly the trained contexts, is built on first use, and each row is
+        bit-equal to ``(counts + alpha) / (total + alpha * V)`` computed for
+        that row alone."""
+        tok = CharTokenizer()
+        lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
+        seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
+        rng = np.random.default_rng(90 + order)
+        models = [train_ngram(seqs, order, 0.1, tok.vocab)]
+        models += [random_model(rng, random_vocab(rng), order=order) for _ in range(10)]
+        for m in models:
+            assert m._rows is None
+            rows = m.rows
+            assert list(rows) == list(m._counts)
+            for ctx, counts in m._counts.items():
+                want = (counts + m.alpha) / (int(counts.sum()) + m.alpha * m.vocab.size)
+                assert rows[ctx].probs.tobytes() == want.tobytes()
+
+    def test_unseen_context_is_the_shared_uniform_row(self):
+        m = train_ngram([[0, 1, 0, 1]], order=3, alpha=1.0, vocab=Vocab(size=4, eos=0))
+        view = TextOnlyDraftLm(m)
+        assert m.next_dist((3, 3)) is m._uniform
+        assert m.score_block((3,), (3,))[1] is m._uniform
+        assert view.next_dist(MultimodalPrompt((), (3,)), [3]) is m._uniform
+        assert view.next_dist(MultimodalPrompt((), (3, 3))) is m._uniform
+        assert (3, 3) not in m.rows
+
+    def test_table_does_not_grow(self):
+        """A 128-token stochastic run through both views, which reaches
+        contexts never seen in training, leaves the table as it was built."""
+        rng = np.random.default_rng(91)
+        vocab = random_vocab(rng, min_size=8)
+        base = random_model(rng, vocab, order=3)
+        target, draft = MultimodalTargetLm(base), TextOnlyDraftLm(base)
+        rows, size = base.rows, len(base.rows)
+        prompt = random_prompt(rng, vocab)
+        cfg = SpdConfig(gamma=3, mode="stochastic", max_new_tokens=128, stop_on_eos=False)
+        out, _ = spd_generate(target, draft, prompt, cfg, RngState(3))
+        ar = autoregressive_generate(target, prompt, 128, "stochastic", RngState(4), stop_on_eos=False)
+        assert len(out) == len(ar) == 128
+        assert any(tuple(seq[i : i + 2]) not in rows for seq in (out, ar) for i in range(126))
+        assert base.rows is rows and len(rows) == size == len(base._counts)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_rows_match_formula(self, order):
@@ -146,7 +195,7 @@ class TestRowMemo:
 
     def test_sample_matches_fresh_cumsum_draw(self):
         """Sampling through the cached cdf draws the ids a fresh
-        ``np.cumsum`` inverse-CDF draw would, over memoized rows."""
+        ``np.cumsum`` inverse-CDF draw would, over table rows."""
         rng = np.random.default_rng(81)
         m = random_model(rng, self.VOCAB, order=3)
         dists = [random_dist(rng, self.VOCAB.size, allow_zeros=True) for _ in range(5)]
@@ -230,6 +279,32 @@ class TestSerialization:
         p = self.write_order3(tmp_path / "bad-model.json", [[[0, 1], [1, 2, 0, 0]]], **header)
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*must be integers"):
             load_ngram(p)
+
+    @pytest.mark.parametrize(
+        "alpha, reason",
+        [
+            pytest.param('"0.5"', "alpha must be a number", id="string"),
+            pytest.param("true", "alpha must be a number", id="boolean"),
+            pytest.param("null", "alpha must be a number", id="null"),
+            pytest.param("Infinity", "alpha must be > 0", id="infinity"),
+            pytest.param("NaN", "alpha must be > 0", id="nan"),
+            pytest.param("0", "alpha must be > 0", id="zero"),
+            pytest.param("-0.5", "alpha must be > 0", id="negative"),
+            pytest.param("1e308", "alpha \\* vocab size finite", id="alpha-times-vocab-overflows"),
+            pytest.param("1" + "0" * 400, "too large", id="huge-integer"),
+        ],
+    )
+    def test_rejects_bad_alpha_naming_file(self, tmp_path, alpha, reason):
+        p = self.write_order3(tmp_path / "bad-model.json", [[[0, 1], [1, 2, 0, 0]]])
+        p.write_text(p.read_text().replace('"alpha": 1.0', f'"alpha": {alpha}'))
+        with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
+            load_ngram(p)
+
+    def test_integer_alpha_loads(self, tmp_path):
+        p = self.write_order3(tmp_path / "model.json", [[[0, 1], [1, 2, 0, 0]]], alpha=1)
+        m = load_ngram(p)
+        assert m.alpha == 1.0 and type(m.alpha) is float
+        np.testing.assert_array_equal(m.next_dist([0, 1]).probs, [2 / 7, 3 / 7, 1 / 7, 1 / 7])
 
     def test_bos_context_loads(self, tmp_path):
         p = self.write_order3(tmp_path / "bos.json", [[[BOS, 2], [0, 3, 0, 0]]])
@@ -327,15 +402,18 @@ class TestPromptViews:
         """A view's ``next_dist`` and each ``score_block`` entry are the very row
         objects ``base.next_dist``/``base.score_block`` return for the whole flat
         prefix, also for outputs shorter than the window and for order 1 (key
-        ``()``); a repeated query is a memo hit that calls no ``NgramLm`` method."""
+        ``()``); a repeated query calls no ``NgramLm`` method and does not
+        touch the table's builder."""
         calls = Counter()
-        for name in ("next_dist", "score_block", "_row"):
+        for name in ("next_dist", "score_block", "context"):
 
             def spy(*args, _name=name, _original=getattr(NgramLm, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(NgramLm, name, spy)
+        build = NgramLm.rows.fget
+        monkeypatch.setattr(NgramLm, "rows", property(lambda self: calls.update(["rows"]) or build(self)))
         rng = np.random.default_rng(400 + order)
         vocab = Vocab(size=3, eos=0)
         base = random_model(rng, vocab, order=order, n_seqs=60)
@@ -355,7 +433,7 @@ class TestPromptViews:
                 assert len(rows) == len(want) == len(block) + 1
                 assert all(got is w for got, w in zip(rows, want))
                 queries.append((view, prompt, gen, block, row, rows))
-        assert calls["_row"] > 0  # the spies are live: first queries built rows
+        assert calls["rows"] > 0 and calls["context"] > 0  # the spies are live
         calls.clear()
         for view, prompt, gen, block, row, rows in queries:
             assert view.next_dist(prompt, gen) is row
