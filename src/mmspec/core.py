@@ -62,15 +62,17 @@ class ProbDist:
     summing to one within ``PROB_SUM_TOL``; a NaN or infinite entry fails)
     and then frozen, so instances can be shared without defensive copies.
     :meth:`table` builds one instance per row of a matrix, checking the
-    matrix once.  Two answers are computed on first use and cached, so a
-    row pays numpy only once for each: the index :func:`argmax` returns,
-    and the cumulative sums :func:`sample` bisects, exposed as a read-only
-    ``memoryview`` because indexing one costs about half what indexing an
-    array does.  ``residuals`` holds, per draft row, the residual
-    ``engine.residual_dist`` built.
+    matrix once.  Three answers are computed on first use and cached, so a
+    row pays numpy only once for each: the index :func:`argmax` returns;
+    the cumulative sums :func:`sample` bisects; and :attr:`values`, the
+    entries the stochastic verifier reads.  The last two are read-only
+    ``memoryview`` objects, because indexing one gives a Python float at
+    less than half what indexing an array costs.  ``residuals`` holds,
+    per draft row, the residual ``engine.residual_dist`` built; it stays
+    ``None`` until the row stores its first one, as most rows never do.
     """
 
-    __slots__ = ("probs", "_cdf", "_top", "residuals")
+    __slots__ = ("probs", "_cdf", "_values", "_top", "residuals")
 
     def __init__(self, probs: np.ndarray | Sequence[float]) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -96,8 +98,9 @@ class ProbDist:
     def _adopt(self, probs: np.ndarray) -> None:
         self.probs = probs
         self._cdf: memoryview | None = None
+        self._values: memoryview | None = None
         self._top: TokenId | None = None
-        self.residuals: dict[ProbDist, ProbDist] = {}
+        self.residuals: dict[ProbDist, ProbDist] | None = None
 
     @property
     def cdf(self) -> memoryview:
@@ -107,6 +110,13 @@ class ProbDist:
             cdf.setflags(write=False)
             self._cdf = memoryview(cdf)
         return self._cdf
+
+    @property
+    def values(self) -> memoryview:
+        """Read-only view of ``probs``, cached after the first use."""
+        if self._values is None:
+            self._values = memoryview(self.probs)
+        return self._values
 
     def __len__(self) -> int:
         return int(self.probs.size)

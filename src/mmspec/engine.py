@@ -10,12 +10,17 @@ which is also the correction on mismatch.  A fully accepted block earns one
 bonus token from the target's extra distribution.  Both rules leave the
 output distributed exactly as plain autoregressive decoding from the
 target.
+
+A round builds little beyond what it returns: its records are named
+tuples, drafting extends the caller's output list in place and cuts it
+back instead of copying it, and verification reads each row's entries as
+floats through ``ProbDist.values``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,20 +84,28 @@ class SpdConfig:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
-@dataclass(frozen=True)
-class DraftBlock:
-    """Drafted tokens plus the draft distribution each was taken from."""
-
+class _DraftBlockFields(NamedTuple):
     tokens: tuple[TokenId, ...]
     dists: tuple[ProbDist, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.dists):
-            raise ValueError(f"{len(self.tokens)} tokens but {len(self.dists)} distributions")
+
+class DraftBlock(_DraftBlockFields):
+    """Drafted tokens plus the draft distribution each was taken from.
+
+    Constructing one checks that the lengths agree; :func:`draft_block`,
+    whose lengths agree by construction, builds through the unchecked
+    ``_make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tokens: tuple[TokenId, ...], dists: tuple[ProbDist, ...]) -> DraftBlock:
+        if len(tokens) != len(dists):
+            raise ValueError(f"{len(tokens)} tokens but {len(dists)} distributions")
+        return super().__new__(cls, tokens, dists)
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     """One verified draft block.
 
     ``emitted`` is the accepted prefix plus exactly one trailing token: a
@@ -151,15 +164,20 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Normalized ``max(0, q - p)``: where to resample after a rejection.
 
     Built once per ``(q, p)`` pair of (shared, so recurring) model rows
-    and kept in ``q.residuals`` under ``p``; a failed build is not kept.
+    and kept in ``q.residuals`` under ``p``, a dict made when ``q`` stores
+    its first residual; a failed build is not kept.
 
     Raises:
         AllZeroError: if ``q <= p`` entrywise; :func:`verify_stochastic`
             then resamples from ``q``.
     """
-    res = q.residuals.get(p)
+    memo = q.residuals
+    if memo is None:
+        memo = {}
+    res = memo.get(p)
     if res is None:
-        res = q.residuals[p] = normalize(np.maximum(q.probs - p.probs, 0.0))
+        res = memo[p] = normalize(np.maximum(q.probs - p.probs, 0.0))
+        q.residuals = memo
     return res
 
 
@@ -175,16 +193,32 @@ def draft_block(
 
     Drafting never stops early — a draft-predicted EOS is proposed and
     verified like any other token.  In greedy mode ``rng`` is unused.
+
+    A list ``generated`` is extended in place while the draft reads it, so
+    the output is never copied, and is cut back to its length on entry
+    before this returns or raises; any other sequence is copied first.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    seq = list(generated)  # the output so far, then the drafted tokens
+    seq = generated if type(generated) is list else list(generated)
+    n = len(seq)
+    next_dist, append = draft.next_dist, seq.append
     dists: list[ProbDist] = []
-    for _ in range(gamma):
-        d = draft.next_dist(prompt, seq)
-        seq.append(argmax(d) if mode == "greedy" else sample(d, rng))
-        dists.append(d)
-    return DraftBlock(tuple(seq[len(seq) - gamma :]), tuple(dists))
+    try:
+        if mode == "greedy":
+            for _ in range(gamma):
+                d = next_dist(prompt, seq)
+                append(argmax(d))
+                dists.append(d)
+        else:
+            for _ in range(gamma):
+                d = next_dist(prompt, seq)
+                append(sample(d, rng))
+                dists.append(d)
+        tokens = tuple(seq[n:])
+    finally:
+        del seq[n:]
+    return DraftBlock._make((tokens, tuple(dists)))
 
 
 def verify_stochastic(
@@ -209,22 +243,33 @@ def verify_stochastic(
 
     Raises:
         ShapeMismatchError: unless ``len(target_dists) == len(block) + 1``.
+        DraftZeroProbError: if a drafted token has zero draft probability.
     """
-    n = len(block.tokens)
+    tokens, dists = block
+    n = len(tokens)
     if len(target_dists) != n + 1:
         raise ShapeMismatchError(f"expected {n + 1} target distributions, got {len(target_dists)}")
-    for j, tok in enumerate(block.tokens):
-        p_j = float(block.dists[j].probs[tok])
-        q_j = float(target_dists[j].probs[tok])
-        if rng.uniform() >= accept_prob(p_j, q_j):
+    uniform = rng.uniform
+    for j, tok in enumerate(tokens):
+        p, q = dists[j], target_dists[j]
+        p_values, q_values = p._values, q._values
+        if p_values is None:
+            p_values = p.values
+        if q_values is None:
+            q_values = q.values
+        p_j = p_values[tok]
+        if p_j == 0.0:
+            raise DraftZeroProbError("drafted token has zero draft probability")
+        # u < 1, so this is u >= min(1, q_j / p_j)
+        if uniform() >= q_values[tok] / p_j:
             try:
-                res = residual_dist(target_dists[j], block.dists[j])
+                res = residual_dist(q, p)
             except AllZeroError:
-                res = target_dists[j]
+                res = q
             fix = sample(res, resample_rng)
-            return BlockRecord(block.tokens, j, block.tokens[:j] + (fix,), "residual-resample")
+            return BlockRecord(tokens, j, tokens[:j] + (fix,), "residual-resample")
     bonus = sample(target_dists[n], resample_rng)
-    return BlockRecord(block.tokens, n, block.tokens + (bonus,), "bonus")
+    return BlockRecord(tokens, n, tokens + (bonus,), "bonus")
 
 
 def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> BlockRecord:
@@ -234,14 +279,15 @@ def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> BlockR
     correction, which makes the overall output identical to greedy decoding
     from the target alone.
     """
-    n = len(block.tokens)
+    tokens = block.tokens
+    n = len(tokens)
     if len(target_dists) != n + 1:
         raise ShapeMismatchError(f"expected {n + 1} target distributions, got {len(target_dists)}")
-    for j, tok in enumerate(block.tokens):
+    for j, tok in enumerate(tokens):
         top = argmax(target_dists[j])
         if tok != top:
-            return BlockRecord(block.tokens, j, block.tokens[:j] + (top,), "greedy-correction")
-    return BlockRecord(block.tokens, n, block.tokens + (argmax(target_dists[n]),), "bonus")
+            return BlockRecord(tokens, j, tokens[:j] + (top,), "greedy-correction")
+    return BlockRecord(tokens, n, tokens + (argmax(target_dists[n]),), "bonus")
 
 
 # --------------------------------------------------------------------------- #
@@ -272,27 +318,34 @@ def spd_generate(
     draft_rng = rng.substream(STREAM_DRAFT)
     verify_rng = rng.substream(STREAM_VERIFY)
     resample_rng = rng.substream(STREAM_RESAMPLE)
+    gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
+    greedy = mode == "greedy"
     eos = target.vocab.eos
     out: list[TokenId] = []
     trace = BlockTrace()
-    done = False
-    while not done and len(out) < cfg.max_new_tokens:
-        block = draft_block(draft, prompt, out, cfg.gamma, draft_rng, cfg.mode)
+    blocks = trace.blocks
+    while True:
+        block = draft_block(draft, prompt, out, gamma, draft_rng, mode)
         target_dists = target.score_block(prompt, out, block.tokens)
-        if cfg.mode == "greedy":
+        if greedy:
             record = verify_greedy(target_dists, block)
         else:
             record = verify_stochastic(target_dists, block, verify_rng, resample_rng)
         emitted = record.emitted
-        if cfg.stop_on_eos and eos in emitted:
+        room = limit - len(out)
+        if len(emitted) < room and not (stop_on_eos and eos in emitted):
+            out += emitted
+            blocks.append(record)
+            continue
+        # EOS or the length limit ends the run with this block.
+        if stop_on_eos and eos in emitted:
             emitted = emitted[: emitted.index(eos) + 1]
-            done = True
-        emitted = emitted[: cfg.max_new_tokens - len(out)]
-        if emitted != record.emitted:
-            record = replace(record, emitted=emitted)
-        out.extend(emitted)
-        trace.blocks.append(record)
-    return out, trace
+        emitted = emitted[:room]
+        if len(emitted) < len(record.emitted):
+            record = record._replace(emitted=emitted)
+        out += emitted
+        blocks.append(record)
+        return out, trace
 
 
 def autoregressive_generate(

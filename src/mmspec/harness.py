@@ -211,9 +211,7 @@ class RenderedPrompt:
 def _require(record: PromptRecord, field_name: str, template: str) -> str:
     value = getattr(record, field_name)
     if value is None or value == "" or value == ():
-        raise MissingFieldError(
-            f"template {template!r} needs non-empty {field_name!r} on record {record.prompt_id!r}"
-        )
+        raise MissingFieldError(f"template {template!r} needs non-empty {field_name!r}")
     return value
 
 
@@ -243,9 +241,7 @@ def render_template(template: str, record: PromptRecord, tokenizer: CharTokenize
     question = _require(record, "question", template)
     options = _require(record, "options", template)
     if record.context is None:
-        raise MissingFieldError(
-            f"template 'sqa' needs 'context' on record {record.prompt_id!r} (may be empty)"
-        )
+        raise MissingFieldError("template 'sqa' needs 'context' (may be empty)")
     option_text = " ".join(f"({i}) {opt}" for i, opt in enumerate(options))
     body = (
         f"Question: {question}\n"
@@ -448,10 +444,10 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
     tokenizer = CharTokenizer()
     target_base = load_ngram(cfg.target_model)
     draft_base = load_ngram(cfg.draft_model)
-    for name, model in (("target", target_base), ("draft", draft_base)):
+    for name, path, model in (("target", cfg.target_model, target_base), ("draft", cfg.draft_model, draft_base)):
         if model.vocab != tokenizer.vocab:
             raise ValueError(
-                f"{name} model vocab {model.vocab} does not match tokenizer vocab {tokenizer.vocab}"
+                f"{path}: {name} model vocab {model.vocab} does not match tokenizer vocab {tokenizer.vocab}"
             )
     target = MultimodalTargetLm(target_base)
     draft: PromptConditionedLm = (
@@ -467,8 +463,11 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
                         f"{cfg.dataset}: record {rec.prompt_id!r}: {kind} token {tok} outside "
                         f"vocab of size {tokenizer.vocab.size}"
                     )
-        rendered = render_template(cfg.template, rec, tokenizer)
-        prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=rendered.tokens))
+        try:
+            rendered = render_template(cfg.template, rec, tokenizer)
+            prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=rendered.tokens))
+        except ValueError as exc:  # MissingFieldError, a character outside the alphabet, empty text
+            raise type(exc)(f"{cfg.dataset}: record {rec.prompt_id!r}: {exc}") from exc
     return _RunContext(tokenizer, target, draft, records, prompts)
 
 

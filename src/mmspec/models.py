@@ -188,13 +188,13 @@ def load_ngram(path: str | Path) -> NgramLm:
     """Read an ``ngram-v1`` model file back into an NgramLm.
 
     Raises:
-        ModelFormatError: if the file is not valid ``ngram-v1``, including a
-            non-integer header value, context id or count, a context of the
-            wrong length or with an id outside the vocabulary (other than
-            :data:`BOS`), a repeated context, a count row of the wrong
-            width or with a negative count, or an ``alpha`` that is not a
-            JSON number, not finite and > 0, or whose ``alpha * vocab_size``
-            overflows.
+        ModelFormatError: if the file is not valid ``ngram-v1``, including no
+            count rows, a non-integer header value, context id or count, a
+            context of the wrong length or with an id outside the
+            vocabulary (other than :data:`BOS`), a repeated context, a
+            count row of the wrong width or with a negative count, or an
+            ``alpha`` that is not a JSON number, not finite and > 0, or
+            whose ``alpha * vocab_size`` overflows.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -216,7 +216,9 @@ def load_ngram(path: str | Path) -> NgramLm:
         table = np.array([row for _, row in payload["counts"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
-    if contexts and (table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i"):
+    if not contexts:
+        raise ModelFormatError(f"{path}: no count rows; training always yields at least one")
+    if table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i":
         raise ModelFormatError(f"{path}: count rows must be {vocab.size} integers each, got {table.dtype} {table.shape}")
     # numpy reads a JSON true/false in an integer row as 1/0, and only a file that holds such a literal can hide one
     if "true" in text or "false" in text:

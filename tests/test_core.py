@@ -246,6 +246,19 @@ class TestCdf:
         assert d.cdf.tolist() == np.cumsum(d.probs).tolist() == [0.25, 0.25, 1.0]
 
 
+class TestValues:
+    def test_is_a_read_only_view_of_probs(self):
+        """Entry by entry the floats of ``probs``, for a built row and for
+        table rows, made once and not writable."""
+        for d in (ProbDist([0.25, 0.0, 0.75]), *ProbDist.table(np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7]]))):
+            values = d.values
+            assert values is d.values and values.readonly
+            with pytest.raises(TypeError):
+                values[0] = 0.5
+            got = [values[i] for i in range(len(d))]
+            assert got == d.probs.tolist() and all(type(v) is float for v in got)
+
+
 class TestRngState:
     @pytest.mark.parametrize("seed, stream", [(0, ()), (11, (3,)), (2**64 - 1, (1, 0, 7))])
     def test_draws_equal_scalar_generator_draws(self, seed, stream):

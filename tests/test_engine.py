@@ -83,6 +83,22 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             DraftBlock(tokens=(1,), dists=())
 
+    def test_draft_block_positional_length_mismatch(self):
+        with pytest.raises(ValueError, match="1 tokens but 0 distributions"):
+            DraftBlock((1,), ())
+
+    def test_records_reject_attribute_assignment(self):
+        d = ProbDist([0.5, 0.5])
+        records = [
+            (DraftBlock((1,), (d,)), ("tokens", "dists", "other")),
+            (BlockRecord((1,), 1, (1, 0), "bonus"), ("draft_tokens", "accepted", "emitted", "correction_kind", "other")),
+        ]
+        for record, names in records:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert records[0][0] == ((1,), (d,)) and records[1][0] == ((1,), 1, (1, 0), "bonus")
+
 
 class TestAcceptProb:
     def test_ratio_clamped_at_one(self):
@@ -150,7 +166,8 @@ class TestDraftBlock:
             assert block.tokens[j] == argmax(block.dists[j])
 
     def test_callers_generated_list_unchanged(self):
-        """Drafting extends its own copy of the output, never the caller's list."""
+        """Drafting extends the caller's list while the draft reads it, and
+        cuts it back before returning."""
         rng = np.random.default_rng(63)
         vocab = random_vocab(rng, min_size=4)
         _, draft = make_pair(rng, vocab, draft_order=3)
@@ -159,6 +176,28 @@ class TestDraftBlock:
         block = draft_block(draft, prompt, generated, 5, RngState(3, (0,)))
         assert generated == [1, 3, 2]
         assert block.tokens == draft_block(draft, prompt, (1, 3, 2), 5, RngState(3, (0,))).tokens
+
+    def test_callers_generated_list_unchanged_when_draft_raises(self):
+        """A draft view that raises mid-block leaves the caller's list as it was."""
+
+        class FailingDraft(TextOnlyDraftLm):
+            calls = 0
+
+            def next_dist(self, prompt, generated=()):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("draft failed")
+                return super().next_dist(prompt, generated)
+
+        rng = np.random.default_rng(63)
+        vocab = random_vocab(rng, min_size=4)
+        draft = FailingDraft(random_model(rng, vocab, order=3))
+        generated = [1, 3, 2]
+        for mode in ("stochastic", "greedy"):
+            draft.calls = 0
+            with pytest.raises(RuntimeError, match="draft failed"):
+                draft_block(draft, random_prompt(rng, vocab), generated, 5, RngState(3, (0,)), mode)
+            assert generated == [1, 3, 2] and draft.calls == 3
 
     def test_draft_eos_does_not_stop_drafting(self):
         """A draft that loves EOS still proposes a full block."""
@@ -175,6 +214,14 @@ class TestVerifyStochastic:
         blk = DraftBlock((0,), (ProbDist([0.5, 0.5]),))
         with pytest.raises(ShapeMismatchError):
             verify_stochastic([ProbDist([0.5, 0.5])], blk, RngState(0), RngState(1))
+
+    def test_zero_draft_prob_raises(self):
+        """A drafted token its draft row gives no mass is a caller bug, even
+        where the target would accept it."""
+        p, q = ProbDist([1.0, 0.0]), ProbDist([0.5, 0.5])
+        blk = DraftBlock((0, 1), (p, p))
+        with pytest.raises(DraftZeroProbError):
+            verify_stochastic([q, q, q], blk, FixedUniform(0.0), RngState(1))
 
     def test_sure_accept_consumes_one_uniform_per_position(self):
         """q >= p at each drafted token: all accepted, 3 draws consumed."""

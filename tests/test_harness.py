@@ -29,8 +29,8 @@ from mmspec.harness import (
     run_experiment,
     train_models,
 )
-from mmspec.core import MultimodalPrompt
-from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, load_ngram
+from mmspec.core import MultimodalPrompt, Vocab
+from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, load_ngram, save_ngram, train_ngram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -477,6 +477,17 @@ class TestHarnessGeneration:
             differs = differs or runs[0] != runs[2]
         assert differs, "different seeds never changed a stochastic output"
 
+    def test_residual_memo_made_on_first_use(self, demo_cfg):
+        """A greedy sweep over the demo dataset leaves every row of both
+        tables without a residuals dict; a stochastic sweep makes some."""
+        target, draft = load_pair(demo_cfg)
+        rows = [*target.base.rows.values(), *draft.base.rows.values(), target.base._uniform, draft.base._uniform]
+        for mode in ("greedy", "stochastic"):
+            cfg = replace(demo_cfg, mode=mode, max_new_tokens=32)
+            for idx, (_, prompt) in enumerate(rendered_prompts(demo_cfg)):
+                generate_for_prompt(target, draft, prompt, cfg, gamma=3, prompt_index=idx)
+            assert any(row.residuals is not None for row in rows) == (mode == "stochastic")
+
 
 class TestRunExperiment:
     def test_report_shape_and_order(self, demo_cfg, tmp_path):
@@ -557,6 +568,35 @@ class TestRunExperiment:
             cfg = replace(demo_cfg, dataset=str(bad))
             with pytest.raises(ValueError, match=r"tokens\.jsonl: record 'q7': prompt token"):
                 run_experiment(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "template, record, error, reason",
+        [
+            pytest.param("plain", {"id": "a", "tokens": []}, ValueError, "prompt text must be non-empty", id="empty"),
+            pytest.param(
+                "plain", {"id": "a", "prompt_text": "caf\u00e9"}, ValueError, "'\u00e9' is not in the alphabet",
+                id="outside-alphabet",
+            ),
+            pytest.param("chat", {"id": "a", "tokens": [3]}, MissingFieldError, "'prompt_text'", id="missing-field"),
+        ],
+    )
+    def test_render_errors_name_dataset_and_record(self, demo_cfg, tmp_path, template, record, error, reason):
+        """A record that fails to render is reported with the dataset file
+        and the record id, under the type the renderer raised."""
+        bad = tmp_path / "records.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        cfg = replace(demo_cfg, dataset=str(bad), template=template)
+        with pytest.raises(error, match=re.escape(f"{bad}: record 'a': ") + ".*" + reason) as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("role", ["target", "draft"])
+    def test_vocab_mismatch_names_model_file(self, demo_cfg, tmp_path, role):
+        path = tmp_path / f"small-{role}.json"
+        save_ngram(train_ngram([[0, 1, 0]], order=2, alpha=1.0, vocab=Vocab(size=3, eos=2)), path)
+        cfg = replace(demo_cfg, **{f"{role}_model": str(path)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {role} model vocab")):
+            run_experiment(cfg, tmp_path / "out")
 
     @pytest.mark.parametrize("module, name", [(json, "dumps"), (os, "replace")])
     def test_failed_rewrite_keeps_previous_report(self, demo_cfg, tmp_path, monkeypatch, module, name):

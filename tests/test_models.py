@@ -274,6 +274,14 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
             load_ngram(p)
 
+    @pytest.mark.parametrize("order", [1, 3, 2_000_000])
+    def test_rejects_empty_counts_naming_file(self, tmp_path, order):
+        """A model with no count rows is refused at any order, as training
+        refuses an empty corpus, before a query pads a window of order - 1 ids."""
+        p = self.write_order3(tmp_path / "empty-model.json", [], order=order)
+        with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*no count rows"):
+            load_ngram(p)
+
     @pytest.mark.parametrize("header", [{"order": 2.7}, {"vocab_size": 3.9}], ids=["order", "vocab-size"])
     def test_rejects_fractional_header_naming_file(self, tmp_path, header):
         p = self.write_order3(tmp_path / "bad-model.json", [[[0, 1], [1, 2, 0, 0]]], **header)
