@@ -26,7 +26,6 @@ from mmspec.engine import (
     DraftZeroProbError,
     ShapeMismatchError,
     SpdConfig,
-    accept_prob,
     autoregressive_generate,
     draft_block,
     residual_dist,

@@ -62,61 +62,50 @@ class ProbDist:
     summing to one within ``PROB_SUM_TOL``; a NaN or infinite entry fails)
     and then frozen, so instances can be shared without defensive copies.
     :meth:`table` builds one instance per row of a matrix, checking the
-    matrix once.  Three answers are computed on first use and cached, so a
-    row pays numpy only once for each: the index :func:`argmax` returns;
-    the cumulative sums :func:`sample` bisects; and :attr:`values`, the
-    entries the stochastic verifier reads.  The last two are read-only
-    ``memoryview`` objects, because indexing one gives a Python float at
-    less than half what indexing an array costs.  ``residuals`` holds,
-    per draft row, the residual ``engine.residual_dist`` built; it stays
-    ``None`` until the row stores its first one, as most rows never do.
+    matrix once.  A row is complete when it is built: ``cdf`` holds the
+    cumulative sums :func:`sample` bisects, ``values`` the entries the
+    stochastic verifier reads, and ``_top`` the index :func:`argmax`
+    returns.  ``cdf`` and ``values`` are read-only ``memoryview`` objects,
+    because indexing one gives a Python float at less than half what
+    indexing an array costs.  ``residuals`` holds, per draft row, the
+    residual ``engine.residual_dist`` built; it stays ``None`` until the
+    row stores its first one, as most rows never do.
     """
 
-    __slots__ = ("probs", "_cdf", "_values", "_top", "residuals")
+    __slots__ = ("probs", "values", "cdf", "_top", "residuals")
 
     def __init__(self, probs: np.ndarray | Sequence[float]) -> None:
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-d vector of >= 2 entries, got shape {arr.shape}")
-        self._adopt(_checked(arr))
+        cdf = np.cumsum(_checked(arr))
+        cdf.setflags(write=False)
+        self._fill(arr, cdf, int(arr.argmax()))
 
     @classmethod
     def table(cls, matrix: np.ndarray) -> list[ProbDist]:
         """One distribution per row of a 2-d ``matrix``, each a read-only view
         of it, once the whole matrix is validated.  A float64 array is
-        frozen in place, not copied."""
+        frozen in place, not copied; the cumulative sums and argmaxes of
+        all rows are taken in one numpy call each."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] < 2:
             raise ValueError(f"expected a 2-d matrix of rows of >= 2 entries, got shape {matrix.shape}")
+        cdfs = np.cumsum(_checked(matrix), axis=1)
+        cdfs.setflags(write=False)  # once for the matrix: its row views inherit it
         dists = []
-        for probs in _checked(matrix):
+        for probs, cdf, top in zip(matrix, cdfs, matrix.argmax(axis=1).tolist()):
             dist = cls.__new__(cls)
-            dist._adopt(probs)
+            dist._fill(probs, cdf, top)
             dists.append(dist)
         return dists
 
-    def _adopt(self, probs: np.ndarray) -> None:
+    def _fill(self, probs: np.ndarray, cdf: np.ndarray, top: TokenId) -> None:
         self.probs = probs
-        self._cdf: memoryview | None = None
-        self._values: memoryview | None = None
-        self._top: TokenId | None = None
+        self.values = memoryview(probs)
+        self.cdf = memoryview(cdf)
+        self._top = top
         self.residuals: dict[ProbDist, ProbDist] | None = None
-
-    @property
-    def cdf(self) -> memoryview:
-        """Read-only view of ``np.cumsum(probs)``, cached after the first use."""
-        if self._cdf is None:
-            cdf = np.cumsum(self.probs)
-            cdf.setflags(write=False)
-            self._cdf = memoryview(cdf)
-        return self._cdf
-
-    @property
-    def values(self) -> memoryview:
-        """Read-only view of ``probs``, cached after the first use."""
-        if self._values is None:
-            self._values = memoryview(self.probs)
-        return self._values
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -236,9 +225,7 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
     sampled exactly.
     """
     u = rng.uniform()
-    cdf = dist._cdf
-    if cdf is None:
-        cdf = dist.cdf
+    cdf = dist.cdf
     idx = bisect.bisect_right(cdf, u)  # first index whose cumulative sum exceeds u
     if idx >= len(cdf):
         # u landed past a cumulative sum that rounded slightly below 1.
@@ -249,9 +236,6 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
 def argmax(dist: ProbDist) -> TokenId:
     """Index of the largest probability; ties break to the lowest index.
 
-    Cached on the row, so a table row calls numpy once.
+    Set when the row is built, so a query calls no numpy.
     """
-    top = dist._top
-    if top is None:
-        top = dist._top = int(np.argmax(dist.probs))
-    return top
+    return dist._top

@@ -34,7 +34,6 @@ __all__ = [
     "DraftZeroProbError",
     "ShapeMismatchError",
     "SpdConfig",
-    "accept_prob",
     "autoregressive_generate",
     "draft_block",
     "residual_dist",
@@ -145,21 +144,6 @@ class BlockTrace:
 # --------------------------------------------------------------------------- #
 
 
-def accept_prob(p_val: float, q_val: float) -> float:
-    """Acceptance probability ``min(1, q/p)`` for one drafted token.
-
-    The division is exact — no epsilon guard — so losslessness is not
-    silently degraded.
-
-    Raises:
-        DraftZeroProbError: if ``p_val`` is zero; a correct sampler cannot
-            propose such a token, so this always indicates a caller bug.
-    """
-    if p_val == 0.0:
-        raise DraftZeroProbError("drafted token has zero draft probability")
-    return min(1.0, q_val / p_val)
-
-
 def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Normalized ``max(0, q - p)``: where to resample after a rejection.
 
@@ -252,16 +236,11 @@ def verify_stochastic(
     uniform = rng.uniform
     for j, tok in enumerate(tokens):
         p, q = dists[j], target_dists[j]
-        p_values, q_values = p._values, q._values
-        if p_values is None:
-            p_values = p.values
-        if q_values is None:
-            q_values = q.values
-        p_j = p_values[tok]
+        p_j = p.values[tok]
         if p_j == 0.0:
             raise DraftZeroProbError("drafted token has zero draft probability")
         # u < 1, so this is u >= min(1, q_j / p_j)
-        if uniform() >= q_values[tok] / p_j:
+        if uniform() >= q.values[tok] / p_j:
             try:
                 res = residual_dist(q, p)
             except AllZeroError:

@@ -54,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "MissingFieldError",
     "PromptRecord",
-    "RenderedPrompt",
     "TEMPLATES",
     "UnknownPromptError",
     "demo_corpus_path",
@@ -195,19 +194,6 @@ class PromptRecord:
             )
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
-    """Template output: token ids plus where the image context belongs.
-
-    ``image_pos`` records the template's image-marker position for display
-    and bookkeeping; model conditioning always places the image context
-    before the whole text, per the prompt type's contract.
-    """
-
-    tokens: tuple[TokenId, ...]
-    image_pos: int
-
-
 def _require(record: PromptRecord, field_name: str, template: str) -> str:
     value = getattr(record, field_name)
     if value is None or value == "" or value == ():
@@ -215,8 +201,11 @@ def _require(record: PromptRecord, field_name: str, template: str) -> str:
     return value
 
 
-def render_template(template: str, record: PromptRecord, tokenizer: CharTokenizer) -> RenderedPrompt:
+def render_template(template: str, record: PromptRecord, tokenizer: CharTokenizer) -> tuple[TokenId, ...]:
     """Render a dataset record into prompt tokens for the given template.
+
+    Model conditioning always places the image context before the whole
+    text, whatever the template.
 
     Raises:
         MissingFieldError: if the template requires a field the record lacks.
@@ -226,17 +215,16 @@ def render_template(template: str, record: PromptRecord, tokenizer: CharTokenize
         raise ValueError(f"unknown template {template!r}; expected one of {TEMPLATES}")
     if template == "plain":
         if record.tokens is not None:
-            return RenderedPrompt(tuple(record.tokens), 0)
+            return tuple(record.tokens)
         text = _require(record, "prompt_text", template)
-        return RenderedPrompt(tuple(tokenizer.encode(text)), 0)
+        return tuple(tokenizer.encode(text))
     if template in ("chat", "caption"):
         if template == "chat":
             question = _require(record, "prompt_text", template)
         else:
             question = CAPTION_INSTRUCTION
-        head = f"{CHAT_PREAMBLE}  USER: "
-        tail = f" \n{question}  ASSISTANT:"
-        return RenderedPrompt(tuple(tokenizer.encode(head + tail)), len(head))
+        # LLaVA's image slot, between "USER: " and " \n", stays empty in the text.
+        return tuple(tokenizer.encode(f"{CHAT_PREAMBLE}  USER:  \n{question}  ASSISTANT:"))
     # sqa: multiple-choice question block; the image precedes the question.
     question = _require(record, "question", template)
     options = _require(record, "options", template)
@@ -249,7 +237,7 @@ def render_template(template: str, record: PromptRecord, tokenizer: CharTokenize
         f"Context: {record.context}\n"
         "Answer: The answer is"
     )
-    return RenderedPrompt(tuple(tokenizer.encode(body)), 0)
+    return tuple(tokenizer.encode(body))
 
 
 # A record's optional JSON fields, named as PromptRecord's: lists with the type of their items, and strings.
@@ -464,8 +452,8 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
                         f"vocab of size {tokenizer.vocab.size}"
                     )
         try:
-            rendered = render_template(cfg.template, rec, tokenizer)
-            prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=rendered.tokens))
+            text = render_template(cfg.template, rec, tokenizer)
+            prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=text))
         except ValueError as exc:  # MissingFieldError, a character outside the alphabet, empty text
             raise type(exc)(f"{cfg.dataset}: record {rec.prompt_id!r}: {exc}") from exc
     return _RunContext(tokenizer, target, draft, records, prompts)

@@ -60,11 +60,12 @@ class NgramLm:
     training yields the uniform distribution; otherwise
     ``(count + alpha) / (total + alpha * V)``.
 
-    :attr:`rows` holds the row of every context seen in training.  It is
-    built on first use, in one numpy pass over all the counts that is
-    validated as a whole, so loading a model does no extra work.  A query
-    is then one ``dict.get`` that falls back to the one shared uniform row;
-    unseen contexts are never stored.
+    ``counts`` is one read-only integer matrix whose row ``i`` counts the
+    tokens that followed ``contexts[i]`` in training.  :attr:`rows` holds
+    the row of every such context.  It is built on first use, in one numpy
+    pass over the matrix that is validated as a whole, so loading a model
+    does no extra work.  A query is then one ``dict.get`` that falls back
+    to the one shared uniform row; unseen contexts are never stored.
     """
 
     def __init__(
@@ -72,7 +73,8 @@ class NgramLm:
         vocab: Vocab,
         order: int,
         alpha: float,
-        counts: dict[tuple[TokenId, ...], np.ndarray],
+        contexts: tuple[tuple[TokenId, ...], ...],
+        counts: np.ndarray,
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
@@ -82,7 +84,8 @@ class NgramLm:
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
-        self._counts = counts
+        self.contexts = contexts
+        self.counts = counts
         self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
         self._rows: dict[tuple[TokenId, ...], ProbDist] | None = None
 
@@ -90,12 +93,10 @@ class NgramLm:
     def rows(self) -> dict[tuple[TokenId, ...], ProbDist]:
         """Row of every context seen in training, keyed by its window; built on first use."""
         if self._rows is None:
-            size = self.vocab.size
-            counts = np.array(list(self._counts.values())).reshape(len(self._counts), size)
-            probs = counts + self.alpha
-            probs /= (counts.sum(axis=1) + self.alpha * size)[:, None]
+            probs = self.counts + self.alpha
+            probs /= (self.counts.sum(axis=1) + self.alpha * self.vocab.size)[:, None]
             # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
-            self._rows = dict(zip(self._counts, type(self._uniform).table(probs)))
+            self._rows = dict(zip(self.contexts, type(self._uniform).table(probs)))
         return self._rows
 
     def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
@@ -144,22 +145,19 @@ def train_ngram(
     seqs = [tuple(s) for s in corpus if len(s) > 0]
     if not seqs:
         raise EmptyCorpusError("training corpus has no non-empty sequences")
-    need = order - 1
-    counts: dict[tuple[TokenId, ...], np.ndarray] = {}
+    need, size = order - 1, vocab.size
+    rows: dict[tuple[TokenId, ...], int] = {}  # context -> its row, in first-seen order
+    cells = []  # row * size + token, once per occurrence
     for seq in seqs:
         for tok in seq:
-            if not 0 <= tok < vocab.size:
-                raise ValueError(f"token id {tok} outside vocab of size {vocab.size}")
+            if not 0 <= tok < size:
+                raise ValueError(f"token id {tok} outside vocab of size {size}")
         padded = (BOS,) * need + seq
         for i, tok in enumerate(seq):
-            ctx = padded[i : i + need]
-            row = counts.get(ctx)
-            if row is None:
-                row = counts[ctx] = np.zeros(vocab.size, dtype=np.int64)
-            row[tok] += 1
-    for row in counts.values():
-        row.setflags(write=False)
-    return NgramLm(vocab, order, alpha, counts)
+            cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
+    counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
+    counts.setflags(write=False)
+    return NgramLm(vocab, order, alpha, tuple(rows), counts)
 
 
 # --------------------------------------------------------------------------- #
@@ -177,8 +175,7 @@ def save_ngram(model: NgramLm, path: str | Path) -> None:
         "vocab_size": model.vocab.size,
         "eos": model.vocab.eos,
         "counts": [
-            [list(ctx), [int(c) for c in row]]
-            for ctx, row in sorted(model._counts.items())
+            [list(ctx), row] for ctx, row in sorted(zip(model.contexts, model.counts.tolist()))
         ],
     }
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
@@ -212,7 +209,7 @@ def load_ngram(path: str | Path) -> NgramLm:
         if type(alpha) not in (int, float):
             raise TypeError(f"alpha must be a number, got {alpha!r}")
         alpha = float(alpha)
-        contexts = [tuple(ctx) for ctx, _ in payload["counts"]]
+        contexts = tuple(tuple(ctx) for ctx, _ in payload["counts"])
         table = np.array([row for _, row in payload["counts"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
@@ -229,15 +226,15 @@ def load_ngram(path: str | Path) -> NgramLm:
     if negative.size:
         raise ModelFormatError(f"{path}: count row for context {list(contexts[negative[0]])} has a negative count")
     table.setflags(write=False)
-    counts: dict[tuple[TokenId, ...], np.ndarray] = {}
-    for ctx, row in zip(contexts, table):
+    seen: set[tuple[TokenId, ...]] = set()
+    for ctx in contexts:
         if len(ctx) != order - 1 or any(type(t) is not int or not (t == BOS or 0 <= t < vocab.size) for t in ctx):
             raise ModelFormatError(f"{path}: context {list(ctx)} is not {order - 1} ids in [0, {vocab.size}) or BOS")
-        if ctx in counts:
+        if ctx in seen:
             raise ModelFormatError(f"{path}: context {list(ctx)} appears twice")
-        counts[ctx] = row
+        seen.add(ctx)
     try:
-        return NgramLm(vocab, order, alpha, counts)
+        return NgramLm(vocab, order, alpha, contexts, table)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
 

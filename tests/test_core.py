@@ -215,18 +215,22 @@ class TestArgmax:
     def test_plain_max(self):
         assert argmax(ProbDist([0.1, 0.7, 0.2])) == 1
 
-    def test_second_query_calls_no_numpy(self, monkeypatch):
-        d = ProbDist([0.1, 0.7, 0.2])
+    def test_built_row_calls_no_numpy(self, monkeypatch):
+        """The index is set when a row is built, alone or in a table, so
+        ``argmax`` calls ``np.argmax`` zero times."""
+        rows = [ProbDist([0.1, 0.7, 0.2]), *ProbDist.table(np.array([[0.1, 0.7, 0.2], [0.6, 0.2, 0.2]]))]
         calls = []
         real = np.argmax
-        monkeypatch.setattr(core.np, "argmax", lambda a: calls.append(a) or real(a))
-        assert argmax(d) == 1 and len(calls) == 1
-        assert argmax(d) == 1 and len(calls) == 1
+        monkeypatch.setattr(core.np, "argmax", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert [argmax(d) for d in rows] == [argmax(d) for d in rows] == [1, 1, 0]
+        assert calls == []
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_equals_numpy_on_bundled_corpus_rows(self, order):
         """Every row of a bundled-corpus model's table, the shared uniform
-        row and rows whose largest count is tied among them."""
+        row and rows whose largest count is tied among them; their ``cdf``
+        and ``values``, built for the whole table at once, equal the
+        per-row numpy answers too."""
         tok = CharTokenizer()
         lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
         seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
@@ -236,6 +240,8 @@ class TestArgmax:
         assert m._uniform in tied and (order == 1 or len(tied) > 1)
         for d in rows:
             assert argmax(d) == argmax(d) == int(np.argmax(d.probs))
+            assert list(d.cdf) == np.cumsum(d.probs).tolist()
+            assert list(d.values) == d.probs.tolist()
 
 
 class TestCdf:

@@ -16,7 +16,6 @@ from mmspec.engine import (
     DraftZeroProbError,
     ShapeMismatchError,
     SpdConfig,
-    accept_prob,
     autoregressive_generate,
     draft_block,
     residual_dist,
@@ -98,18 +97,6 @@ class TestConfigTypes:
                 with pytest.raises(AttributeError):
                     setattr(record, name, None)
         assert records[0][0] == ((1,), (d,)) and records[1][0] == ((1,), 1, (1, 0), "bonus")
-
-
-class TestAcceptProb:
-    def test_ratio_clamped_at_one(self):
-        assert accept_prob(0.5, 0.9) == 1.0
-
-    def test_plain_ratio(self):
-        assert accept_prob(0.5, 0.1) == pytest.approx(0.2)
-
-    def test_zero_draft_prob_raises(self):
-        with pytest.raises(DraftZeroProbError):
-            accept_prob(0.0, 0.3)
 
 
 class TestResidualDist:

@@ -69,8 +69,8 @@ def rendered_prompts(cfg):
     tok = CharTokenizer()
     prompts = []
     for rec in load_dataset(cfg.dataset):
-        rendered = render_template(cfg.template, rec, tok)
-        prompts.append((rec.prompt_id, MultimodalPrompt(image_ctx=rec.image_ctx, text=rendered.tokens)))
+        text = render_template(cfg.template, rec, tok)
+        prompts.append((rec.prompt_id, MultimodalPrompt(image_ctx=rec.image_ctx, text=text)))
     return prompts
 
 
@@ -108,26 +108,22 @@ class TestTemplates:
     def test_plain_text(self):
         tok = CharTokenizer()
         rec = PromptRecord(prompt_id="x", prompt_text="The table holds")
-        out = render_template("plain", rec, tok)
-        assert tok.decode(out.tokens) == "The table holds"
-        assert out.image_pos == 0
+        assert tok.decode(render_template("plain", rec, tok)) == "The table holds"
 
     def test_plain_pretokenized(self):
         tok = CharTokenizer("abc")
         rec = PromptRecord(prompt_id="x", tokens=(0, 2, 1))
-        assert render_template("plain", rec, tok).tokens == (0, 2, 1)
+        assert render_template("plain", rec, tok) == (0, 2, 1)
 
     def test_chat_structure(self):
         tok = CharTokenizer()
         rec = PromptRecord(prompt_id="x", prompt_text="Where is the dog?")
-        out = render_template("chat", rec, tok)
-        text = tok.decode(out.tokens)
+        text = tok.decode(render_template("chat", rec, tok))
         assert text.startswith(CHAT_PREAMBLE)
         assert text.endswith("Where is the dog?  ASSISTANT:")
-        # The image slot sits between "USER: " and the question line.
-        head = tok.decode(out.tokens[: out.image_pos])
-        assert head.endswith("USER: ")
-        assert tok.decode(out.tokens[out.image_pos :]).startswith(" \n")
+        # The image slot between "USER: " and the question line is left empty.
+        assert text.count("USER: ") == 1
+        assert text.split("USER: ")[1].startswith(" \n")
 
     def test_chat_requires_question(self):
         tok = CharTokenizer()
@@ -139,7 +135,7 @@ class TestTemplates:
     def test_caption_uses_fixed_instruction(self):
         tok = CharTokenizer()
         rec = PromptRecord(prompt_id="x", prompt_text="ignored")
-        text = tok.decode(render_template("caption", rec, tok).tokens)
+        text = tok.decode(render_template("caption", rec, tok))
         assert CAPTION_INSTRUCTION in text
         assert "ignored" not in text
         assert text.endswith("  ASSISTANT:")
@@ -153,19 +149,17 @@ class TestTemplates:
             options=("plate", "dog"),
             context="A small room.",
         )
-        out = render_template("sqa", rec, tok)
-        assert tok.decode(out.tokens) == (
+        assert tok.decode(render_template("sqa", rec, tok)) == (
             "Question: Which object is on the table?\n"
             "Options: (0) plate (1) dog\n"
             "Context: A small room.\n"
             "Answer: The answer is"
         )
-        assert out.image_pos == 0
 
     def test_sqa_context_may_be_empty_but_not_absent(self):
         tok = CharTokenizer()
         rec = PromptRecord(prompt_id="x", prompt_text="", question="Q?", options=("a",), context="")
-        assert "Context: \n" in tok.decode(render_template("sqa", rec, tok).tokens)
+        assert "Context: \n" in tok.decode(render_template("sqa", rec, tok))
         with pytest.raises(MissingFieldError):
             render_template(
                 "sqa",
@@ -202,8 +196,7 @@ class TestTemplates:
             context="ctx",
         )
         for template in TEMPLATES:
-            out = render_template(template, rec, tok)
-            assert len(out.tokens) > 0
+            assert len(render_template(template, rec, tok)) > 0
 
     def test_record_needs_exactly_one_payload(self):
         with pytest.raises(ValueError):

@@ -120,18 +120,27 @@ class TestRowMemo:
         """For a bundled-corpus model and random models, the table holds
         exactly the trained contexts, is built on first use, and each row is
         bit-equal to ``(counts + alpha) / (total + alpha * V)`` computed for
-        that row alone."""
+        that row alone.  The bundled-corpus count matrix holds, in
+        first-seen order of contexts, what a ``Counter`` of
+        ``(context, token)`` pairs counts."""
         tok = CharTokenizer()
         lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
         seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
         rng = np.random.default_rng(90 + order)
         models = [train_ngram(seqs, order, 0.1, tok.vocab)]
+        pairs = Counter()
+        for seq in seqs:
+            padded = (BOS,) * (order - 1) + tuple(seq)
+            pairs.update((padded[i : i + order - 1], t) for i, t in enumerate(seq))
+        contexts = tuple(dict.fromkeys(ctx for ctx, _ in pairs))
+        assert models[0].contexts == contexts
+        assert models[0].counts.tolist() == [[pairs[ctx, t] for t in range(tok.vocab.size)] for ctx in contexts]
         models += [random_model(rng, random_vocab(rng), order=order) for _ in range(10)]
         for m in models:
             assert m._rows is None
             rows = m.rows
-            assert list(rows) == list(m._counts)
-            for ctx, counts in m._counts.items():
+            assert list(rows) == list(m.contexts)
+            for ctx, counts in zip(m.contexts, m.counts):
                 want = (counts + m.alpha) / (int(counts.sum()) + m.alpha * m.vocab.size)
                 assert rows[ctx].probs.tobytes() == want.tobytes()
 
@@ -158,7 +167,7 @@ class TestRowMemo:
         ar = autoregressive_generate(target, prompt, 128, "stochastic", RngState(4), stop_on_eos=False)
         assert len(out) == len(ar) == 128
         assert any(tuple(seq[i : i + 2]) not in rows for seq in (out, ar) for i in range(126))
-        assert base.rows is rows and len(rows) == size == len(base._counts)
+        assert base.rows is rows and len(rows) == size == len(base.contexts)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_rows_match_formula(self, order):

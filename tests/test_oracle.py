@@ -169,11 +169,13 @@ class TestEnumerateSpd:
 
 
 class TestEngineAgreesWithOracle:
-    def test_spd_generate_follows_enumerated_distribution(self):
-        """Empirical spd_generate outputs track the exact enumeration."""
+    @pytest.mark.parametrize("gamma, length", [(2, 2), (1, 2)])
+    def test_spd_generate_follows_enumerated_distribution(self, gamma, length):
+        """Empirical spd_generate outputs track the exact enumeration.  At
+        gamma 2 every bonus token is cut by the length limit; at gamma 1 a
+        fully accepted block emits its bonus as the second token."""
         rng = np.random.default_rng(90)
         target, draft, prompt, _ = tiny_pair(rng, vocab_size=3, target_order=2, draft_order=1)
-        gamma, length = 2, 2
         exact = enumerate_spd(target, draft, prompt, gamma, length)
         cfg = SpdConfig(gamma=gamma, mode="stochastic", max_new_tokens=length)
         n = 8000
