@@ -138,14 +138,13 @@ class RngState:
     """Deterministic uniform stream addressed by ``(seed, stream)``.
 
     Each named substream is an independent counter-based Philox stream keyed
-    by the 64-bit seed plus a tuple of stream ids; ``counter`` counts the
-    draws taken, and nothing global is touched.  The generator is built on
-    the first draw, so a state that never draws (greedy decoding) costs no
-    key derivation.  Draws come in batches of 64, which equal 64 scalar
-    draws (~0.05 us, not ~1 us, each).
+    by the 64-bit seed plus a tuple of stream ids, and nothing global is
+    touched.  The generator is built on the first draw, so a state that
+    never draws (greedy decoding) costs no key derivation.  Draws come in
+    batches of 64, which equal 64 scalar draws (~0.05 us, not ~1 us, each).
     """
 
-    __slots__ = ("seed", "stream", "counter", "_gen", "_batch")
+    __slots__ = ("seed", "stream", "_gen", "_batch")
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()) -> None:
         seed = int(seed)
@@ -153,18 +152,16 @@ class RngState:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.stream = (stream,) if isinstance(stream, int) else tuple(int(s) for s in stream)
-        self.counter = 0
         self._gen: np.random.Generator | None = None
         self._batch: list[float] = []  # the rest of the current batch, last draw first
 
     def uniform(self) -> float:
-        """Next uniform draw in ``[0, 1)``; advances the counter by one."""
+        """Next uniform draw in ``[0, 1)``."""
         if not self._batch:
             if self._gen is None:
                 key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
                 self._gen = np.random.Generator(np.random.Philox(key))
             self._batch = self._gen.random(64)[::-1].tolist()
-        self.counter += 1
         return self._batch.pop()
 
     def substream(self, *ids: int) -> "RngState":
@@ -176,7 +173,7 @@ class RngState:
         return RngState(self.seed, self.stream + ids)
 
     def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, stream={self.stream}, counter={self.counter})"
+        return f"RngState(seed={self.seed}, stream={self.stream})"
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:

@@ -83,25 +83,11 @@ class SpdConfig:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
-class _DraftBlockFields(NamedTuple):
+class DraftBlock(NamedTuple):
+    """Drafted tokens plus the draft distribution each was taken from."""
+
     tokens: tuple[TokenId, ...]
     dists: tuple[ProbDist, ...]
-
-
-class DraftBlock(_DraftBlockFields):
-    """Drafted tokens plus the draft distribution each was taken from.
-
-    Constructing one checks that the lengths agree; :func:`draft_block`,
-    whose lengths agree by construction, builds through the unchecked
-    ``_make``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tokens: tuple[TokenId, ...], dists: tuple[ProbDist, ...]) -> DraftBlock:
-        if len(tokens) != len(dists):
-            raise ValueError(f"{len(tokens)} tokens but {len(dists)} distributions")
-        return super().__new__(cls, tokens, dists)
 
 
 class BlockRecord(NamedTuple):
@@ -202,7 +188,7 @@ def draft_block(
         tokens = tuple(seq[n:])
     finally:
         del seq[n:]
-    return DraftBlock._make((tokens, tuple(dists)))
+    return DraftBlock(tokens, tuple(dists))
 
 
 def verify_stochastic(
@@ -226,13 +212,14 @@ def verify_stochastic(
     still follows the target within ``PROB_SUM_TOL``.
 
     Raises:
-        ShapeMismatchError: unless ``len(target_dists) == len(block) + 1``.
+        ShapeMismatchError: unless ``len(target_dists) == len(tokens) + 1``
+            and ``len(block.dists) == len(tokens)``.
         DraftZeroProbError: if a drafted token has zero draft probability.
     """
     tokens, dists = block
     n = len(tokens)
-    if len(target_dists) != n + 1:
-        raise ShapeMismatchError(f"expected {n + 1} target distributions, got {len(target_dists)}")
+    if len(target_dists) != n + 1 or len(dists) != n:
+        raise ShapeMismatchError(f"{n} drafted tokens, {len(dists)} draft and {len(target_dists)} target distributions")
     uniform = rng.uniform
     for j, tok in enumerate(tokens):
         p, q = dists[j], target_dists[j]

@@ -116,7 +116,7 @@ class MissingFieldError(ValueError):
     """Raised when a template needs a record field that is absent or empty."""
 
 
-class UnknownPromptError(KeyError):
+class UnknownPromptError(ValueError):
     """Raised when a prompt id is not present in the dataset."""
 
 
@@ -136,16 +136,11 @@ def demo_dataset_path() -> Path:
 
 
 class CharTokenizer:
-    """Character-level codec over a fixed alphabet plus a reserved EOS id."""
+    """Character-level codec over :data:`DEFAULT_ALPHABET` plus a reserved EOS id."""
 
-    def __init__(self, alphabet: str = DEFAULT_ALPHABET) -> None:
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet characters must be distinct")
-        if len(alphabet) < 1:
-            raise ValueError("alphabet must not be empty")
-        self.alphabet = alphabet
-        self._index = {ch: i for i, ch in enumerate(alphabet)}
-        self.vocab = Vocab(size=len(alphabet) + 1, eos=len(alphabet))
+    def __init__(self) -> None:
+        self._index = {ch: i for i, ch in enumerate(DEFAULT_ALPHABET)}
+        self.vocab = Vocab(size=len(DEFAULT_ALPHABET) + 1, eos=len(DEFAULT_ALPHABET))
 
     def encode(self, text: str) -> list[TokenId]:
         try:
@@ -158,8 +153,8 @@ class CharTokenizer:
         for i in ids:
             if i == self.vocab.eos:
                 out.append(eos_marker)
-            elif 0 <= i < len(self.alphabet):
-                out.append(self.alphabet[i])
+            elif 0 <= i < len(DEFAULT_ALPHABET):
+                out.append(DEFAULT_ALPHABET[i])
             else:
                 raise ValueError(f"token id {i} outside vocab of size {self.vocab.size}")
         return "".join(out)

@@ -60,12 +60,13 @@ class NgramLm:
     training yields the uniform distribution; otherwise
     ``(count + alpha) / (total + alpha * V)``.
 
-    ``counts`` is one read-only integer matrix whose row ``i`` counts the
-    tokens that followed ``contexts[i]`` in training.  :attr:`rows` holds
-    the row of every such context.  It is built on first use, in one numpy
-    pass over the matrix that is validated as a whole, so loading a model
-    does no extra work.  A query is then one ``dict.get`` that falls back
-    to the one shared uniform row; unseen contexts are never stored.
+    ``counts`` is one integer matrix, checked and frozen here, whose row
+    ``i`` counts the tokens that followed ``contexts[i]`` in training: at
+    least one row, ``vocab.size`` columns, no negative count.  :attr:`rows`
+    holds the row of every such context.  It is built on first use, in one
+    numpy pass over the matrix that is validated as a whole, so loading a
+    model does no extra work.  A query is then one ``dict.get`` that falls
+    back to the one shared uniform row; unseen contexts are never stored.
     """
 
     def __init__(
@@ -81,6 +82,15 @@ class NgramLm:
         alpha = float(alpha)
         if not (alpha > 0 and np.isfinite(alpha * vocab.size)):
             raise ValueError(f"smoothing alpha must be > 0 and alpha * vocab size finite, got {alpha}")
+        # checked before the uniform row is allocated, so a huge vocab size fails first
+        if not contexts:
+            raise ValueError("no count rows; training always yields at least one")
+        if counts.shape != (len(contexts), vocab.size) or counts.dtype.kind != "i":
+            raise ValueError(f"count rows must be {vocab.size} integers each, got {counts.dtype} {counts.shape}")
+        negative = np.flatnonzero(np.any(counts < 0, axis=1))
+        if negative.size:
+            raise ValueError(f"count row for context {list(contexts[negative[0]])} has a negative count")
+        counts.setflags(write=False)
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
@@ -156,7 +166,6 @@ def train_ngram(
         for i, tok in enumerate(seq):
             cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
     counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
-    counts.setflags(write=False)
     return NgramLm(vocab, order, alpha, tuple(rows), counts)
 
 
@@ -213,19 +222,6 @@ def load_ngram(path: str | Path) -> NgramLm:
         table = np.array([row for _, row in payload["counts"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
-    if not contexts:
-        raise ModelFormatError(f"{path}: no count rows; training always yields at least one")
-    if table.shape != (len(contexts), vocab.size) or table.dtype.kind != "i":
-        raise ModelFormatError(f"{path}: count rows must be {vocab.size} integers each, got {table.dtype} {table.shape}")
-    # numpy reads a JSON true/false in an integer row as 1/0, and only a file that holds such a literal can hide one
-    if "true" in text or "false" in text:
-        for ctx, row in payload["counts"]:
-            if any(type(c) is not int for c in row):
-                raise ModelFormatError(f"{path}: count row for context {ctx} holds a non-integer count")
-    negative = np.flatnonzero(np.any(table < 0, axis=-1))
-    if negative.size:
-        raise ModelFormatError(f"{path}: count row for context {list(contexts[negative[0]])} has a negative count")
-    table.setflags(write=False)
     seen: set[tuple[TokenId, ...]] = set()
     for ctx in contexts:
         if len(ctx) != order - 1 or any(type(t) is not int or not (t == BOS or 0 <= t < vocab.size) for t in ctx):
@@ -234,9 +230,16 @@ def load_ngram(path: str | Path) -> NgramLm:
             raise ModelFormatError(f"{path}: context {list(ctx)} appears twice")
         seen.add(ctx)
     try:
-        return NgramLm(vocab, order, alpha, contexts, table)
+        model = NgramLm(vocab, order, alpha, contexts, table)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    # numpy reads a JSON true/false in an integer row as 1/0, and only a file that holds such a literal can hide one;
+    # the model has checked the shape, so every row is a list of vocab_size scalars here
+    if "true" in text or "false" in text:
+        for ctx, row in payload["counts"]:
+            if any(type(c) is not int for c in row):
+                raise ModelFormatError(f"{path}: count row for context {ctx} holds a non-integer count")
+    return model
 
 
 # --------------------------------------------------------------------------- #
@@ -267,22 +270,14 @@ class PromptConditionedLm:
     def vocab(self) -> Vocab:
         return self.base.vocab
 
-    def window(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> tuple[TokenId, ...]:
-        """The last ``need = order - 1`` flat-prefix ids, ``(flat prefix)[-need:]``, without building the
-        prefix: the output's tail, topped up from the text, then from the image context if the view sees it."""
-        need = self._need
-        window = tuple(generated[max(len(generated) - need, 0) :])
-        if len(window) < need:
-            short = self.sees_image and len(prompt.text) + len(window) < need
-            window = (prompt.image_ctx + prompt.text if short else prompt.text)[len(window) - need :] + window
-        return window
-
     def _short_key(self, prompt: MultimodalPrompt, generated: Sequence[TokenId]) -> tuple[TokenId, ...]:
-        """The key for an output shorter than the window."""
-        tail = self._tail
+        """The key for an output shorter than the window: the prompt's BOS-padded tail, topped up by the output."""
+        tail, need = self._tail, self._need
         if tail[0] is not prompt:
-            tail = self._tail = (prompt, self.base.context(self.window(prompt)))
-        return (tail[1] + tuple(generated))[-self._need :]
+            # each part cut to the window first, so a long prompt is never concatenated whole
+            text = prompt.image_ctx[-need:] + prompt.text[-need:] if self.sees_image else prompt.text
+            tail = self._tail = (prompt, self.base.context(text))
+        return (tail[1] + tuple(generated))[-need:]
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
         n, need = len(generated), self._need

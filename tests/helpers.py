@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, Vocab
+from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab
 from mmspec.engine import BlockRecord, BlockTrace
 from mmspec.models import train_ngram
 
@@ -51,6 +51,15 @@ class FixedUniform:
 
     def uniform(self):
         return self.u
+
+
+def assert_drawn(rng, k):
+    """``rng`` has taken exactly ``k`` draws: its next draw is draw ``k`` of a
+    fresh state at the same ``(seed, stream)``.  A draw is consumed."""
+    fresh = RngState(rng.seed, rng.stream)
+    for _ in range(k):
+        fresh.uniform()
+    assert rng.uniform() == fresh.uniform()
 
 
 def trace_from_emission_counts(counts, gamma=1):

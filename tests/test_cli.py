@@ -138,7 +138,7 @@ class TestTrace:
     def test_unknown_prompt_id(self, workspace, capsys):
         rc = main(["trace", "--config", str(workspace / "config.json"), "--prompt-id", "p99"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: prompt id 'p99' not in {demo_dataset_path()}\n"
 
 
 class TestParser:

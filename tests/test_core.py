@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import FixedUniform
+from helpers import FixedUniform, assert_drawn
 
 from mmspec.core import (
     AllZeroError,
@@ -174,7 +174,7 @@ class TestSample:
         rng = RngState(0)
         sample(d, rng)
         sample(d, rng)
-        assert rng.counter == 2
+        assert_drawn(rng, 2)
 
     def test_empirical_frequency(self):
         """100000 fair-coin draws land within [0.49, 0.51] for token 0."""
@@ -272,11 +272,11 @@ class TestRngState:
         rng = RngState(seed, stream)
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
         assert [rng.uniform() for _ in range(300)] == [gen.random() for _ in range(300)]
-        assert rng.counter == 300
+        assert_drawn(rng, 300)
 
     def test_greedy_generation_draws_nothing(self, monkeypatch):
-        """Greedy SPD and baseline runs leave the counter of every state they
-        use at 0 and never build a Philox generator."""
+        """Greedy SPD and baseline runs never build a Philox generator, so
+        no state they use takes a draw."""
         derived, built = [], []
         philox = np.random.Philox
         monkeypatch.setattr(core.np.random, "Philox", lambda *a: built.append(a) or philox(*a))
@@ -298,7 +298,6 @@ class TestRngState:
         baseline_rng = RngState(5, (0,))
         autoregressive_generate(target, prompt, 32, "greedy", baseline_rng)
         assert len(derived) == 3
-        assert [s.counter for s in derived + [baseline_rng]] == [0, 0, 0, 0]
         assert built == []
         RngState(5).uniform()
         assert len(built) == 1

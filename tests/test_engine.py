@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import FixedUniform, random_dist, random_model, random_prompt, random_vocab
+from helpers import FixedUniform, assert_drawn, random_dist, random_model, random_prompt, random_vocab
 
 from mmspec import engine
 from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize, sample
@@ -77,14 +77,6 @@ class TestConfigTypes:
             SpdConfig(gamma=1, mode="beam")
         with pytest.raises(ValueError):
             SpdConfig(gamma=1, max_new_tokens=0)
-
-    def test_draft_block_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DraftBlock(tokens=(1,), dists=())
-
-    def test_draft_block_positional_length_mismatch(self):
-        with pytest.raises(ValueError, match="1 tokens but 0 distributions"):
-            DraftBlock((1,), ())
 
     def test_records_reject_attribute_assignment(self):
         d = ProbDist([0.5, 0.5])
@@ -202,6 +194,38 @@ class TestVerifyStochastic:
         with pytest.raises(ShapeMismatchError):
             verify_stochastic([ProbDist([0.5, 0.5])], blk, RngState(0), RngState(1))
 
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_draft_rows_must_match_tokens(self, rows):
+        """One drafted token needs exactly one draft row."""
+        d = ProbDist([0.5, 0.5])
+        blk = DraftBlock((0,), (d,) * rows)
+        with pytest.raises(ShapeMismatchError, match=f"1 drafted tokens, {rows} draft and 2 target"):
+            verify_stochastic([d, d], blk, FixedUniform(0.5), FixedUniform(0.5))
+
+    def test_accept_reads_the_row_at_its_own_position(self):
+        """Drafted token 0 is sure to survive against ``target_dists[0]``
+        (q = p) and sure to fail against ``target_dists[1]`` (q = 0 there)."""
+        p, q0, q1 = ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5]), ProbDist([0.0, 1.0])
+        out = verify_stochastic([q0, q1], DraftBlock((0,), (p,)), FixedUniform(0.5), FixedUniform(0.5))
+        assert (out.accepted, out.emitted, out.correction_kind) == (1, (0, 1), "bonus")
+
+    def test_bonus_reads_the_row_after_the_block(self):
+        """After a clean block the bonus comes from ``target_dists[n]``, a
+        point mass on 1; ``target_dists[n - 1]`` would give 0 at u = 0.25."""
+        p = ProbDist([0.5, 0.5])
+        out = verify_stochastic(
+            [p, ProbDist([0.0, 1.0])], DraftBlock((0,), (p,)), FixedUniform(0.0), FixedUniform(0.25)
+        )
+        assert (out.accepted, out.emitted, out.correction_kind) == (1, (0, 1), "bonus")
+
+    def test_rejection_resamples_from_the_residual(self):
+        """p = [.75, .25], q = [.25, .75]: u = 0.5 rejects drafted 0
+        (q/p = 1/3), and the residual ``max(q - p, 0)`` is a point mass on 1,
+        where q itself would give 0 at u = 0.1."""
+        p, q = ProbDist([0.75, 0.25]), ProbDist([0.25, 0.75])
+        out = verify_stochastic([q, q], DraftBlock((0,), (p,)), FixedUniform(0.5), FixedUniform(0.1))
+        assert (out.accepted, out.emitted, out.correction_kind) == (0, (1,), "residual-resample")
+
     def test_zero_draft_prob_raises(self):
         """A drafted token its draft row gives no mass is a caller bug, even
         where the target would accept it."""
@@ -220,8 +244,8 @@ class TestVerifyStochastic:
         out = verify_stochastic([q, q, q, q], blk, rng, res_rng)
         assert out.accepted == 3
         assert out.correction_kind == "bonus"
-        assert rng.counter == 3
-        assert res_rng.counter == 1  # the bonus draw
+        assert_drawn(rng, 3)
+        assert_drawn(res_rng, 1)  # the bonus draw
 
     def test_sure_reject_stops_at_first_position(self):
         """q == 0 at the first drafted token forces rejection there."""
@@ -234,7 +258,7 @@ class TestVerifyStochastic:
         assert out.accepted == 0
         assert out.correction_kind == "residual-resample"
         assert out.emitted == (1,)
-        assert rng.counter == 2  # one accept draw + one resample draw
+        assert_drawn(rng, 2)  # one accept draw + one resample draw
 
     def test_single_step_marginal(self):
         """p=[.5,.5], q=[.9,.1]: emitted-token frequency approaches [0.9, 0.1]."""

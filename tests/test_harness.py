@@ -81,27 +81,30 @@ class TestCharTokenizer:
         assert tok.decode(tok.encode(text)) == text
 
     def test_vocab_layout(self):
-        tok = CharTokenizer("abc")
-        assert tok.vocab.size == 4
-        assert tok.vocab.eos == 3
-        assert tok.encode("cab") == [2, 0, 1]
+        tok = CharTokenizer()
+        size = len(DEFAULT_ALPHABET)
+        assert tok.vocab.size == size + 1
+        assert tok.vocab.eos == size
+        assert tok.encode("\n !") == [0, 1, 2]
+        assert tok.encode("cab") == [DEFAULT_ALPHABET.index(ch) for ch in "cab"]
 
-    def test_duplicate_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            CharTokenizer("aa")
+    def test_default_alphabet_is_distinct(self):
+        assert len(set(DEFAULT_ALPHABET)) == len(DEFAULT_ALPHABET)
 
     def test_unknown_character(self):
         with pytest.raises(ValueError, match="not in the alphabet"):
-            CharTokenizer("abc").encode("abd")
+            CharTokenizer().encode("ab~")
 
     def test_decode_eos_marker(self):
-        tok = CharTokenizer("abc")
-        assert tok.decode([0, 3, 1], eos_marker="<eos>") == "a<eos>b"
-        assert tok.decode([0, 3]) == "a"
+        tok = CharTokenizer()
+        a, b, eos = *tok.encode("ab"), tok.vocab.eos
+        assert tok.decode([a, eos, b], eos_marker="<eos>") == "a<eos>b"
+        assert tok.decode([a, eos]) == "a"
 
     def test_decode_out_of_range(self):
-        with pytest.raises(ValueError):
-            CharTokenizer("abc").decode([4])
+        for bad in (CharTokenizer().vocab.size, -1):
+            with pytest.raises(ValueError):
+                CharTokenizer().decode([bad])
 
 
 class TestTemplates:
@@ -111,7 +114,7 @@ class TestTemplates:
         assert tok.decode(render_template("plain", rec, tok)) == "The table holds"
 
     def test_plain_pretokenized(self):
-        tok = CharTokenizer("abc")
+        tok = CharTokenizer()
         rec = PromptRecord(prompt_id="x", tokens=(0, 2, 1))
         assert render_template("plain", rec, tok) == (0, 2, 1)
 

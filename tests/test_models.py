@@ -54,6 +54,23 @@ class TestTrainNgram:
         with pytest.raises(ValueError):
             train_ngram([[0, 2]], order=2, alpha=1.0, vocab=VOCAB2)
 
+    @pytest.mark.parametrize(
+        "vocab_size, contexts, counts, reason",
+        [
+            pytest.param(3, ((0,),), np.zeros((2, 3), dtype=np.int64), "must be 3 integers each", id="extra-row"),
+            pytest.param(3, ((0,),), np.zeros((1, 2), dtype=np.int64), "must be 3 integers each", id="narrow-row"),
+            pytest.param(3, ((0,),), np.zeros((1, 3)), "must be 3 integers each", id="float-counts"),
+            pytest.param(3, ((0,),), np.array([[1, -1, 0]]), r"context \[0\] has a negative count", id="negative"),
+            pytest.param(3, (), np.zeros((0, 3), dtype=np.int64), "no count rows", id="no-rows"),
+            pytest.param(2**62, ((0,),), np.zeros((1, 3), dtype=np.int64), "integers each", id="huge-vocab"),
+        ],
+    )
+    def test_constructor_rejects_bad_count_matrix(self, vocab_size, contexts, counts, reason):
+        """A count matrix must be one integer row of ``vocab.size`` non-negative
+        counts per context; a huge vocab size fails before any row is allocated."""
+        with pytest.raises(ValueError, match=reason):
+            NgramLm(Vocab(vocab_size, 0), 2, 1.0, contexts, counts)
+
     def test_dists_are_valid(self):
         """Every context row yields non-negative probabilities summing to 1."""
         rng = np.random.default_rng(50)
@@ -345,12 +362,15 @@ class TestPromptViews:
         return train_ngram([[0, 2, 3], [1, 2, 0]], order=3, alpha=1.0, vocab=vocab)
 
     def test_target_conditions_on_image_then_text(self):
-        """The target's window is the tail of image context, text, output."""
-        target = MultimodalTargetLm(self._image_sensitive_model())
+        """The target's window is the tail of image context, text, output:
+        the image tops up a text shorter than the window, and an empty image
+        context leaves it BOS-padded."""
+        base = self._image_sensitive_model()
+        target = MultimodalTargetLm(base)
         prompt = MultimodalPrompt(image_ctx=(1,), text=(2,))
-        assert target.window(prompt) == (1, 2)
-        assert target.window(prompt, (3,)) == (2, 3)
-        assert target.window(MultimodalPrompt(image_ctx=(), text=(2,))) == (2,)
+        assert target.next_dist(prompt) is base.next_dist((1, 2)) is base.rows[(1, 2)]
+        assert target.next_dist(prompt, (3,)) is base.next_dist((2, 3))
+        assert target.next_dist(MultimodalPrompt(image_ctx=(), text=(0,))) is base.next_dist((0,)) is base.rows[(BOS, 0)]
 
     def test_image_ctx_changes_target_dist(self):
         """Same text, different image ids: windows (0,2) vs (1,2) differ."""
@@ -380,12 +400,15 @@ class TestPromptViews:
                 checked += 1
 
     def test_draft_window_is_tail_of_text_plus_generated(self):
-        draft = TextOnlyDraftLm(self._image_sensitive_model())
-        assert draft.window(MultimodalPrompt(image_ctx=(1,), text=(2,))) == (2,)
+        """The image never tops up the draft's window, even when the text is
+        shorter than it."""
+        base = self._image_sensitive_model()
+        draft = TextOnlyDraftLm(base)
+        assert draft.next_dist(MultimodalPrompt(image_ctx=(1,), text=(2,))) is base.next_dist((2,))
         prompt = MultimodalPrompt(image_ctx=(1, 1), text=(2, 3))
-        assert draft.window(prompt) == (2, 3)
-        assert draft.window(prompt, [0]) == (3, 0)
-        assert draft.window(prompt, (0, 1, 3)) == (1, 3)
+        assert draft.next_dist(prompt) is base.next_dist((2, 3))
+        assert draft.next_dist(prompt, [0]) is base.next_dist((3, 0))
+        assert draft.next_dist(prompt, (0, 1, 3)) is base.next_dist((1, 3))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_window_queries_equal_full_prefix_queries(self, order):
@@ -406,7 +429,6 @@ class TestPromptViews:
             ):
                 full = head + tuple(gen)
                 for generated in (gen, tuple(gen)):
-                    assert view.window(prompt, generated) == full[max(len(full) - need, 0) :]
                     np.testing.assert_array_equal(view.next_dist(prompt, generated).probs, base.next_dist(full).probs)
                     got = view.score_block(prompt, generated, block)
                     want = base.score_block(full, block)
