@@ -22,7 +22,6 @@ from mmspec.core import (
 from mmspec.engine import (
     BlockRecord,
     BlockTrace,
-    DraftBlock,
     DraftZeroProbError,
     ShapeMismatchError,
     SpdConfig,

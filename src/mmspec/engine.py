@@ -11,10 +11,10 @@ bonus token from the target's extra distribution.  Both rules leave the
 output distributed exactly as plain autoregressive decoding from the
 target.
 
-A round builds little beyond what it returns: its records are named
-tuples, drafting extends the caller's output list in place and cuts it
-back instead of copying it, and verification reads each row's entries as
-floats through ``ProbDist.values``.
+A round builds little beyond what it returns: drafting returns a plain
+``(tokens, dists)`` pair and extends the caller's output list in place
+instead of copying it, verification reads rows as floats through
+``ProbDist.values``, and a greedy run derives no random stream at all.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from mmspec.models import PromptConditionedLm
 __all__ = [
     "BlockRecord",
     "BlockTrace",
-    "DraftBlock",
     "DraftZeroProbError",
     "ShapeMismatchError",
     "SpdConfig",
@@ -81,13 +80,6 @@ class SpdConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-
-
-class DraftBlock(NamedTuple):
-    """Drafted tokens plus the draft distribution each was taken from."""
-
-    tokens: tuple[TokenId, ...]
-    dists: tuple[ProbDist, ...]
 
 
 class BlockRecord(NamedTuple):
@@ -141,9 +133,7 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
         AllZeroError: if ``q <= p`` entrywise; :func:`verify_stochastic`
             then resamples from ``q``.
     """
-    memo = q.residuals
-    if memo is None:
-        memo = {}
+    memo = q.residuals or {}
     res = memo.get(p)
     if res is None:
         res = memo[p] = normalize(np.maximum(q.probs - p.probs, 0.0))
@@ -158,8 +148,8 @@ def draft_block(
     gamma: int,
     rng: RngState | None,
     mode: str = "stochastic",
-) -> DraftBlock:
-    """Propose ``gamma`` tokens autoregressively from the draft view.
+) -> tuple[tuple[TokenId, ...], list[ProbDist]]:
+    """Draft ``gamma`` tokens autoregressively: returns ``(tokens, dists)``, each token's draft row.
 
     Drafting never stops early — a draft-predicted EOS is proposed and
     verified like any other token.  In greedy mode ``rng`` is unused.
@@ -188,16 +178,17 @@ def draft_block(
         tokens = tuple(seq[n:])
     finally:
         del seq[n:]
-    return DraftBlock(tokens, tuple(dists))
+    return tokens, dists
 
 
 def verify_stochastic(
     target_dists: Sequence[ProbDist],
-    block: DraftBlock,
+    tokens: Sequence[TokenId],
+    dists: Sequence[ProbDist],
     rng: RngState,
     resample_rng: RngState,
 ) -> BlockRecord:
-    """Accept/reject a draft block so the output follows the target exactly.
+    """Accept/reject ``tokens`` drafted from ``dists`` so the output follows the target exactly.
 
     Scans positions left to right, consuming one uniform from ``rng`` per
     scanned position; position ``j`` survives with probability
@@ -213,10 +204,9 @@ def verify_stochastic(
 
     Raises:
         ShapeMismatchError: unless ``len(target_dists) == len(tokens) + 1``
-            and ``len(block.dists) == len(tokens)``.
+            and ``len(dists) == len(tokens)``.
         DraftZeroProbError: if a drafted token has zero draft probability.
     """
-    tokens, dists = block
     n = len(tokens)
     if len(target_dists) != n + 1 or len(dists) != n:
         raise ShapeMismatchError(f"{n} drafted tokens, {len(dists)} draft and {len(target_dists)} target distributions")
@@ -238,14 +228,13 @@ def verify_stochastic(
     return BlockRecord(tokens, n, tokens + (bonus,), "bonus")
 
 
-def verify_greedy(target_dists: Sequence[ProbDist], block: DraftBlock) -> BlockRecord:
+def verify_greedy(target_dists: Sequence[ProbDist], tokens: Sequence[TokenId]) -> BlockRecord:
     """Accept drafted tokens while they equal the target argmax.
 
     On the first mismatch the target argmax itself is emitted as the
     correction, which makes the overall output identical to greedy decoding
     from the target alone.
     """
-    tokens = block.tokens
     n = len(tokens)
     if len(target_dists) != n + 1:
         raise ShapeMismatchError(f"expected {n + 1} target distributions, got {len(target_dists)}")
@@ -266,7 +255,7 @@ def spd_generate(
     draft: PromptConditionedLm,
     prompt: MultimodalPrompt,
     cfg: SpdConfig,
-    rng: RngState,
+    rng: RngState | None,
 ) -> tuple[list[TokenId], BlockTrace]:
     """Speculative generation: returns ``(tokens, trace)``.
 
@@ -277,26 +266,32 @@ def spd_generate(
     trace records post-truncation emissions, so block efficiency computed
     from it matches the tokens actually returned.
 
-    Draft, accept/reject, and resample draws come from three substreams of
-    ``rng``, so draft proposals depend only on the seed and the text-side
-    prefix — never on image context or verification outcomes inside a block.
+    Stochastic draft, accept/reject, and resample draws come from three
+    substreams of ``rng``, so draft proposals depend only on the seed and
+    the text-side prefix — never on image context or verification outcomes
+    inside a block.  Greedy mode never reads ``rng``; it may be ``None``.
     """
-    draft_rng = rng.substream(STREAM_DRAFT)
-    verify_rng = rng.substream(STREAM_VERIFY)
-    resample_rng = rng.substream(STREAM_RESAMPLE)
     gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
     greedy = mode == "greedy"
+    if greedy:
+        draft_rng = verify_rng = resample_rng = None
+    elif rng is None:
+        raise ValueError("stochastic mode needs an rng")
+    else:
+        draft_rng = rng.substream(STREAM_DRAFT)
+        verify_rng = rng.substream(STREAM_VERIFY)
+        resample_rng = rng.substream(STREAM_RESAMPLE)
     eos = target.vocab.eos
     out: list[TokenId] = []
     trace = BlockTrace()
     blocks = trace.blocks
     while True:
-        block = draft_block(draft, prompt, out, gamma, draft_rng, mode)
-        target_dists = target.score_block(prompt, out, block.tokens)
+        tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, mode)
+        target_dists = target.score_block(prompt, out, tokens)
         if greedy:
-            record = verify_greedy(target_dists, block)
+            record = verify_greedy(target_dists, tokens)
         else:
-            record = verify_stochastic(target_dists, block, verify_rng, resample_rng)
+            record = verify_stochastic(target_dists, tokens, dists, verify_rng, resample_rng)
         emitted = record.emitted
         room = limit - len(out)
         if len(emitted) < room and not (stop_on_eos and eos in emitted):
@@ -308,7 +303,7 @@ def spd_generate(
             emitted = emitted[: emitted.index(eos) + 1]
         emitted = emitted[:room]
         if len(emitted) < len(record.emitted):
-            record = record._replace(emitted=emitted)
+            record = BlockRecord(record.draft_tokens, record.accepted, emitted, record.correction_kind)
         out += emitted
         blocks.append(record)
         return out, trace

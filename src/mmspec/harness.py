@@ -39,6 +39,7 @@ from mmspec.metrics import (
     mbsu_c_scaled,
 )
 from mmspec.models import (
+    EmptyCorpusError,
     MultimodalTargetLm,
     PromptConditionedLm,
     TextOnlyDraftLm,
@@ -390,12 +391,15 @@ def train_models(
     Returns the paths of the written target and draft model files.
     """
     tokenizer = CharTokenizer()
-    text = Path(corpus_path).read_text(encoding="utf-8")
-    seqs = [
-        tokenizer.encode(line) + [tokenizer.vocab.eos]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    seqs = []
+    for lineno, line in enumerate(Path(corpus_path).read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip():
+            try:
+                seqs.append(tokenizer.encode(line) + [tokenizer.vocab.eos])
+            except ValueError as exc:
+                raise ValueError(f"{corpus_path}:{lineno}: {exc}") from None
+    if not seqs:
+        raise EmptyCorpusError(f"{corpus_path}: training corpus has no non-empty sequences")
     target = train_ngram(seqs, target_order, target_alpha, tokenizer.vocab)
     draft = train_ngram(seqs, draft_order, draft_alpha, tokenizer.vocab)
     out = Path(out_dir)
@@ -470,11 +474,12 @@ def generate_for_prompt(
     stream is independent of gamma, so the baseline output for a prompt is
     identical across the gamma sweep.
     """
-    baseline_rng = RngState(cfg.seed, (_STREAM_BASELINE, prompt_index))
+    greedy = cfg.mode == "greedy"  # greedy decoding draws nothing, so it gets no stream
+    baseline_rng = None if greedy else RngState(cfg.seed, (_STREAM_BASELINE, prompt_index))
+    spd_rng = None if greedy else RngState(cfg.seed, (_STREAM_SPD, gamma, prompt_index))
     baseline = autoregressive_generate(
         target, prompt, cfg.max_new_tokens, cfg.mode, baseline_rng, stop_on_eos=cfg.stop_on_eos
     )
-    spd_rng = RngState(cfg.seed, (_STREAM_SPD, gamma, prompt_index))
     spd_cfg = SpdConfig(gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos)
     spd, trace = spd_generate(target, draft, prompt, spd_cfg, spd_rng)
     return baseline, spd, trace

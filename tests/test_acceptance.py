@@ -183,7 +183,7 @@ def test_criterion_7_draft_image_invariance(capsys):
                 rng.integers(0, vocab.size, int(rng.integers(0, 5))).tolist()
             )
             gamma = int(rng.integers(1, 5))
-            reference = draft_block(
+            ref_tokens, ref_dists = draft_block(
                 draft, base, generated, gamma, RngState(8000 + outer), "stochastic"
             )
             for _ in range(10):
@@ -191,11 +191,11 @@ def test_criterion_7_draft_image_invariance(capsys):
                     rng.integers(0, vocab.size, int(rng.integers(0, 6))).tolist()
                 )
                 perturbed = MultimodalPrompt(image_ctx=image, text=base.text)
-                again = draft_block(
+                tokens, dists = draft_block(
                     draft, perturbed, generated, gamma, RngState(8000 + outer), "stochastic"
                 )
-                assert again.tokens == reference.tokens
-                for d_ref, d_new in zip(reference.dists, again.dists):
+                assert tokens == ref_tokens
+                for d_ref, d_new in zip(ref_dists, dists):
                     assert np.array_equal(d_ref.probs, d_new.probs)
                 trials += 1
         assert trials == 1000

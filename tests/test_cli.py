@@ -35,6 +35,13 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_corpus_error_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.txt"
+        corpus.write_text("a naive line\na na\u00efve line\n", encoding="utf-8")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}:2: character '\u00ef' is not in the alphabet\n"
+        assert not (tmp_path / "m").exists()
+
 
 class TestRun:
     def test_full_sweep(self, workspace, tmp_path, capsys):

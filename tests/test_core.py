@@ -275,8 +275,9 @@ class TestRngState:
         assert_drawn(rng, 300)
 
     def test_greedy_generation_draws_nothing(self, monkeypatch):
-        """Greedy SPD and baseline runs never build a Philox generator, so
-        no state they use takes a draw."""
+        """Greedy SPD runs derive no substream of the state they are given,
+        and greedy SPD and baseline runs never build a Philox generator, so
+        no state takes a draw."""
         derived, built = [], []
         philox = np.random.Philox
         monkeypatch.setattr(core.np.random, "Philox", lambda *a: built.append(a) or philox(*a))
@@ -297,7 +298,7 @@ class TestRngState:
         spd_generate(target, draft, prompt, cfg, RecordingRng(5))
         baseline_rng = RngState(5, (0,))
         autoregressive_generate(target, prompt, 32, "greedy", baseline_rng)
-        assert len(derived) == 3
+        assert derived == []
         assert built == []
         RngState(5).uniform()
         assert len(built) == 1

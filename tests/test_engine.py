@@ -12,7 +12,6 @@ from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Voca
 from mmspec.engine import (
     BlockRecord,
     BlockTrace,
-    DraftBlock,
     DraftZeroProbError,
     ShapeMismatchError,
     SpdConfig,
@@ -79,16 +78,11 @@ class TestConfigTypes:
             SpdConfig(gamma=1, max_new_tokens=0)
 
     def test_records_reject_attribute_assignment(self):
-        d = ProbDist([0.5, 0.5])
-        records = [
-            (DraftBlock((1,), (d,)), ("tokens", "dists", "other")),
-            (BlockRecord((1,), 1, (1, 0), "bonus"), ("draft_tokens", "accepted", "emitted", "correction_kind", "other")),
-        ]
-        for record, names in records:
-            for name in names:
-                with pytest.raises(AttributeError):
-                    setattr(record, name, None)
-        assert records[0][0] == ((1,), (d,)) and records[1][0] == ((1,), 1, (1, 0), "bonus")
+        record = BlockRecord((1,), 1, (1, 0), "bonus")
+        for name in ("draft_tokens", "accepted", "emitted", "correction_kind", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert record == ((1,), 1, (1, 0), "bonus")
 
 
 class TestResidualDist:
@@ -120,8 +114,8 @@ class TestDraftBlock:
         vocab = random_vocab(rng)
         _, draft = make_pair(rng, vocab)
         prompt = random_prompt(rng, vocab)
-        block = draft_block(draft, prompt, (), 4, RngState(1, (0,)))
-        assert len(block.tokens) == 4 and len(block.dists) == 4
+        tokens, dists = draft_block(draft, prompt, (), 4, RngState(1, (0,)))
+        assert len(tokens) == 4 and len(dists) == 4
 
     def test_dists_match_draft_view(self):
         """Each stored dist equals the draft's dist at that drafted prefix."""
@@ -129,20 +123,20 @@ class TestDraftBlock:
         vocab = random_vocab(rng)
         _, draft = make_pair(rng, vocab)
         prompt = random_prompt(rng, vocab)
-        block = draft_block(draft, prompt, (2 % vocab.size,), 3, RngState(2, (0,)))
+        tokens, dists = draft_block(draft, prompt, (2 % vocab.size,), 3, RngState(2, (0,)))
         gen = (2 % vocab.size,)
         for j in range(3):
-            want = draft.next_dist(prompt, gen + block.tokens[:j])
-            np.testing.assert_array_equal(block.dists[j].probs, want.probs)
+            want = draft.next_dist(prompt, gen + tokens[:j])
+            np.testing.assert_array_equal(dists[j].probs, want.probs)
 
     def test_greedy_mode_picks_argmax(self):
         rng = np.random.default_rng(62)
         vocab = random_vocab(rng)
         _, draft = make_pair(rng, vocab)
         prompt = random_prompt(rng, vocab)
-        block = draft_block(draft, prompt, (), 3, None, mode="greedy")
+        tokens, dists = draft_block(draft, prompt, (), 3, None, mode="greedy")
         for j in range(3):
-            assert block.tokens[j] == argmax(block.dists[j])
+            assert tokens[j] == argmax(dists[j])
 
     def test_callers_generated_list_unchanged(self):
         """Drafting extends the caller's list while the draft reads it, and
@@ -152,9 +146,9 @@ class TestDraftBlock:
         _, draft = make_pair(rng, vocab, draft_order=3)
         prompt = random_prompt(rng, vocab)
         generated = [1, 3, 2]
-        block = draft_block(draft, prompt, generated, 5, RngState(3, (0,)))
+        tokens, _ = draft_block(draft, prompt, generated, 5, RngState(3, (0,)))
         assert generated == [1, 3, 2]
-        assert block.tokens == draft_block(draft, prompt, (1, 3, 2), 5, RngState(3, (0,))).tokens
+        assert tokens == draft_block(draft, prompt, (1, 3, 2), 5, RngState(3, (0,)))[0]
 
     def test_callers_generated_list_unchanged_when_draft_raises(self):
         """A draft view that raises mid-block leaves the caller's list as it was."""
@@ -184,29 +178,27 @@ class TestDraftBlock:
         m = train_ngram([[1, 1, 1, 1]], order=1, alpha=0.01, vocab=vocab)
         draft = TextOnlyDraftLm(m)
         prompt = MultimodalPrompt((), (0,))
-        block = draft_block(draft, prompt, (), 3, None, mode="greedy")
-        assert block.tokens == (1, 1, 1)
+        tokens, _ = draft_block(draft, prompt, (), 3, None, mode="greedy")
+        assert tokens == (1, 1, 1)
 
 
 class TestVerifyStochastic:
     def test_shape_mismatch(self):
-        blk = DraftBlock((0,), (ProbDist([0.5, 0.5]),))
         with pytest.raises(ShapeMismatchError):
-            verify_stochastic([ProbDist([0.5, 0.5])], blk, RngState(0), RngState(1))
+            verify_stochastic([ProbDist([0.5, 0.5])], (0,), (ProbDist([0.5, 0.5]),), RngState(0), RngState(1))
 
     @pytest.mark.parametrize("rows", [0, 2])
     def test_draft_rows_must_match_tokens(self, rows):
         """One drafted token needs exactly one draft row."""
         d = ProbDist([0.5, 0.5])
-        blk = DraftBlock((0,), (d,) * rows)
         with pytest.raises(ShapeMismatchError, match=f"1 drafted tokens, {rows} draft and 2 target"):
-            verify_stochastic([d, d], blk, FixedUniform(0.5), FixedUniform(0.5))
+            verify_stochastic([d, d], (0,), (d,) * rows, FixedUniform(0.5), FixedUniform(0.5))
 
     def test_accept_reads_the_row_at_its_own_position(self):
         """Drafted token 0 is sure to survive against ``target_dists[0]``
         (q = p) and sure to fail against ``target_dists[1]`` (q = 0 there)."""
         p, q0, q1 = ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5]), ProbDist([0.0, 1.0])
-        out = verify_stochastic([q0, q1], DraftBlock((0,), (p,)), FixedUniform(0.5), FixedUniform(0.5))
+        out = verify_stochastic([q0, q1], (0,), (p,), FixedUniform(0.5), FixedUniform(0.5))
         assert (out.accepted, out.emitted, out.correction_kind) == (1, (0, 1), "bonus")
 
     def test_bonus_reads_the_row_after_the_block(self):
@@ -214,7 +206,7 @@ class TestVerifyStochastic:
         point mass on 1; ``target_dists[n - 1]`` would give 0 at u = 0.25."""
         p = ProbDist([0.5, 0.5])
         out = verify_stochastic(
-            [p, ProbDist([0.0, 1.0])], DraftBlock((0,), (p,)), FixedUniform(0.0), FixedUniform(0.25)
+            [p, ProbDist([0.0, 1.0])], (0,), (p,), FixedUniform(0.0), FixedUniform(0.25)
         )
         assert (out.accepted, out.emitted, out.correction_kind) == (1, (0, 1), "bonus")
 
@@ -223,25 +215,23 @@ class TestVerifyStochastic:
         (q/p = 1/3), and the residual ``max(q - p, 0)`` is a point mass on 1,
         where q itself would give 0 at u = 0.1."""
         p, q = ProbDist([0.75, 0.25]), ProbDist([0.25, 0.75])
-        out = verify_stochastic([q, q], DraftBlock((0,), (p,)), FixedUniform(0.5), FixedUniform(0.1))
+        out = verify_stochastic([q, q], (0,), (p,), FixedUniform(0.5), FixedUniform(0.1))
         assert (out.accepted, out.emitted, out.correction_kind) == (0, (1,), "residual-resample")
 
     def test_zero_draft_prob_raises(self):
         """A drafted token its draft row gives no mass is a caller bug, even
         where the target would accept it."""
         p, q = ProbDist([1.0, 0.0]), ProbDist([0.5, 0.5])
-        blk = DraftBlock((0, 1), (p, p))
         with pytest.raises(DraftZeroProbError):
-            verify_stochastic([q, q, q], blk, FixedUniform(0.0), RngState(1))
+            verify_stochastic([q, q, q], (0, 1), (p, p), FixedUniform(0.0), RngState(1))
 
     def test_sure_accept_consumes_one_uniform_per_position(self):
         """q >= p at each drafted token: all accepted, 3 draws consumed."""
         p = ProbDist([0.5, 0.5])
         q = ProbDist([0.5, 0.5])
-        blk = DraftBlock((0, 1, 0), (p, p, p))
         rng = RngState(3, (1,))
         res_rng = RngState(3, (2,))
-        out = verify_stochastic([q, q, q, q], blk, rng, res_rng)
+        out = verify_stochastic([q, q, q, q], (0, 1, 0), (p, p, p), rng, res_rng)
         assert out.accepted == 3
         assert out.correction_kind == "bonus"
         assert_drawn(rng, 3)
@@ -251,9 +241,8 @@ class TestVerifyStochastic:
         """q == 0 at the first drafted token forces rejection there."""
         p = ProbDist([1.0, 0.0])
         q = ProbDist([0.0, 1.0])
-        blk = DraftBlock((0, 0), (p, p))
         rng = RngState(4, (1,))
-        out = verify_stochastic([q, q, q], blk, rng, rng)
+        out = verify_stochastic([q, q, q], (0, 0), (p, p), rng, rng)
         assert out.draft_tokens == (0, 0)
         assert out.accepted == 0
         assert out.correction_kind == "residual-resample"
@@ -272,8 +261,7 @@ class TestVerifyStochastic:
             trial = root.substream(i)
             draft_rng = trial.substream(0)
             tok = 0 if draft_rng.uniform() < 0.5 else 1
-            blk = DraftBlock((tok,), (p,))
-            out = verify_stochastic([q, bonus], blk, trial.substream(1), trial.substream(2))
+            out = verify_stochastic([q, bonus], (tok,), (p,), trial.substream(1), trial.substream(2))
             hits[out.emitted[0]] += 1
         freq = hits / n
         # 4-sigma band around 0.9 is about +/- 0.0085
@@ -293,12 +281,12 @@ class TestVerifyStochastic:
                 toks.append(int(rng.integers(0, size)))
                 if d.probs[toks[-1]] == 0.0:  # keep draft prob positive
                     toks[-1] = int(np.argmax(d.probs))
-            blk = DraftBlock(tuple(toks), tuple(dists))
+            toks = tuple(toks)
             q = [ProbDist(w / w.sum()) for w in (rng.random(size) + 1e-6 for _ in range(gamma + 1))]
-            out = verify_stochastic(q, blk, RngState(trial, (1,)), RngState(trial, (2,)))
+            out = verify_stochastic(q, toks, dists, RngState(trial, (1,)), RngState(trial, (2,)))
             assert (out.accepted == gamma) == (out.correction_kind == "bonus")
             assert 1 <= len(out.emitted) <= gamma + 1
-            assert out.emitted[: out.accepted] == blk.tokens[: out.accepted]
+            assert out.emitted[: out.accepted] == toks[: out.accepted]
 
     def test_rows_a_few_ulps_apart(self):
         """p = q +- k ulp per entry, with the largest uniform below 1 forced:
@@ -308,7 +296,7 @@ class TestVerifyStochastic:
         below_one = float(np.nextafter(1.0, 0.0))
         p = ProbDist([0.5, 0.25, 0.25])
         q = ProbDist([np.nextafter(0.5, 0.0), 0.25, 0.25])
-        out = verify_stochastic([q, q], DraftBlock((0,), (p,)), FixedUniform(below_one), RngState(0))
+        out = verify_stochastic([q, q], (0,), (p,), FixedUniform(below_one), RngState(0))
         assert (out.accepted, out.correction_kind) == (0, "residual-resample")
         rng = np.random.default_rng(75)
         no_residual = 0
@@ -318,7 +306,7 @@ class TestVerifyStochastic:
             p = ProbDist(np.maximum(q.probs + ulps * np.spacing(q.probs), 0.0))
             tok = int(rng.choice(np.flatnonzero(p.probs > 0.0)))
             out = verify_stochastic(
-                [q, q], DraftBlock((tok,), (p,)), FixedUniform(below_one), RngState(trial, (2,))
+                [q, q], (tok,), (p,), FixedUniform(below_one), RngState(trial, (2,))
             )
             if p.probs[tok] <= q.probs[tok]:
                 assert (out.accepted, out.correction_kind) == (1, "bonus")
@@ -336,24 +324,21 @@ class TestVerifyGreedy:
     def test_accepts_matching_argmax(self):
         q0 = ProbDist([0.1, 0.9])
         q1 = ProbDist([0.8, 0.2])
-        blk = DraftBlock((1, 0), (q0, q1))
-        out = verify_greedy([q0, q1, ProbDist([0.3, 0.7])], blk)
+        out = verify_greedy([q0, q1, ProbDist([0.3, 0.7])], (1, 0))
         assert out.accepted == 2
         assert out.emitted == (1, 0, 1)
         assert out.correction_kind == "bonus"
 
     def test_correction_is_target_argmax(self):
         q0 = ProbDist([0.1, 0.9])
-        blk = DraftBlock((0, 0), (q0, q0))
-        out = verify_greedy([q0, q0, q0], blk)
+        out = verify_greedy([q0, q0, q0], (0, 0))
         assert out.accepted == 0
         assert out.emitted == (1,)
         assert out.correction_kind == "greedy-correction"
 
     def test_shape_mismatch(self):
-        blk = DraftBlock((0,), (ProbDist([0.5, 0.5]),))
         with pytest.raises(ShapeMismatchError):
-            verify_greedy([ProbDist([0.5, 0.5])] * 3, blk)
+            verify_greedy([ProbDist([0.5, 0.5])] * 3, (0,))
 
 
 class TestSpdGenerate:
@@ -465,6 +450,42 @@ class TestSpdGenerate:
         assert len(out) == 10
         assert [len(b.emitted) for b in trace.blocks] == [4, 4, 2]
         assert trace.total_emitted == 10
+        # Only ``emitted`` of the last record is cut; the draft it verified stays whole.
+        assert trace.blocks[-1] == BlockRecord((1, 2, 0), 3, (1, 2), "bonus")
+
+    def test_greedy_eos_cut_keeps_uncut_record(self):
+        """Target 1, 3(eos), 1; draft 1, 3, 0: the block accepts 2 and
+        corrects to 1, then the EOS cut drops the correction but keeps the
+        record's draft, accepted count and correction kind."""
+        vocab = Vocab(size=4, eos=3)
+        target = MultimodalTargetLm(train_ngram([[0, 1, 3, 1]], order=2, alpha=0.1, vocab=vocab))
+        draft = TextOnlyDraftLm(train_ngram([[0, 1, 3, 0]], order=2, alpha=0.1, vocab=vocab))
+        prompt = MultimodalPrompt((), (0,))
+        out, trace = spd_generate(target, draft, prompt, SpdConfig(gamma=3, mode="greedy"), None)
+        assert out == [1, 3] == autoregressive_generate(target, prompt, 64, "greedy")
+        assert trace.blocks == [BlockRecord((1, 3, 0), 2, (1, 3), "greedy-correction")]
+
+    def test_greedy_runs_never_read_the_rng(self):
+        """Greedy SPD and baseline runs given no rng return the tokens and
+        trace they return with a real state."""
+        rng = np.random.default_rng(76)
+        for trial in range(20):
+            vocab = random_vocab(rng)
+            target, draft = make_pair(rng, vocab)
+            prompt = random_prompt(rng, vocab)
+            cfg = SpdConfig(gamma=int(rng.integers(1, 5)), mode="greedy", max_new_tokens=32)
+            assert spd_generate(target, draft, prompt, cfg, None) == spd_generate(
+                target, draft, prompt, cfg, RngState(trial)
+            )
+            ar = autoregressive_generate(target, prompt, 32, "greedy", None)
+            assert ar == autoregressive_generate(target, prompt, 32, "greedy", RngState(trial))
+
+    def test_stochastic_requires_rng(self):
+        rng = np.random.default_rng(77)
+        vocab = random_vocab(rng)
+        target, draft = make_pair(rng, vocab)
+        with pytest.raises(ValueError, match="stochastic mode needs an rng"):
+            spd_generate(target, draft, random_prompt(rng, vocab), SpdConfig(gamma=2), None)
 
     def test_image_perturbation_never_moves_draft_block(self):
         """Changing image_ctx shifts target dists but not draft proposals."""
@@ -476,10 +497,10 @@ class TestSpdGenerate:
             p_a = MultimodalPrompt(tuple(rng.integers(0, vocab.size, 3).tolist()), text)
             p_b = MultimodalPrompt(tuple(rng.integers(0, vocab.size, 3).tolist()), text)
             gen = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 3))).tolist())
-            blk_a = draft_block(draft, p_a, gen, 3, RngState(trial, (0,)))
-            blk_b = draft_block(draft, p_b, gen, 3, RngState(trial, (0,)))
-            assert blk_a.tokens == blk_b.tokens
-            for da, db in zip(blk_a.dists, blk_b.dists):
+            tokens_a, dists_a = draft_block(draft, p_a, gen, 3, RngState(trial, (0,)))
+            tokens_b, dists_b = draft_block(draft, p_b, gen, 3, RngState(trial, (0,)))
+            assert tokens_a == tokens_b
+            for da, db in zip(dists_a, dists_b):
                 assert np.array_equal(da.probs, db.probs)
 
 

@@ -29,8 +29,8 @@ from mmspec.harness import (
     run_experiment,
     train_models,
 )
-from mmspec.core import MultimodalPrompt, Vocab
-from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, load_ngram, save_ngram, train_ngram
+from mmspec.core import MultimodalPrompt, RngState, Vocab
+from mmspec.models import EmptyCorpusError, MultimodalTargetLm, TextOnlyDraftLm, load_ngram, save_ngram, train_ngram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -424,8 +424,14 @@ class TestTrainModels:
 
     def test_rejects_corpus_with_foreign_characters(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("café\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        corpus.write_text("tea\n\ncafé\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(corpus))}:3: character 'é' is not in the alphabet$"):
+            train_models(corpus, tmp_path)
+
+    def test_rejects_corpus_of_blank_lines(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n  \n\n", encoding="utf-8")
+        with pytest.raises(EmptyCorpusError, match=f"^{re.escape(str(corpus))}: training corpus has no non-empty"):
             train_models(corpus, tmp_path)
 
 
@@ -519,6 +525,24 @@ class TestRunExperiment:
         assert (tmp_path / "plain" / "report.csv").read_bytes() == (
             tmp_path / "img" / "report.csv"
         ).read_bytes()
+
+    def test_greedy_run_builds_no_rng_state(self, demo_cfg, tmp_path, monkeypatch):
+        """Past config validation, a greedy sweep constructs no ``RngState``;
+        a stochastic sweep constructs some."""
+        built = []
+        init = RngState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        for mode in ("greedy", "stochastic"):
+            cfg = replace(demo_cfg, mode=mode, max_new_tokens=16)
+            with monkeypatch.context() as patch:
+                patch.setattr(RngState, "__init__", counting_init)
+                run_experiment(cfg, tmp_path / mode)
+            assert (len(built) > 0) == (mode == "stochastic"), mode
+            built.clear()
 
     def test_identity_pair_fills_every_block(self, identity_dir, tmp_path):
         cfg = ExperimentConfig(
