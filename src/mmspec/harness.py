@@ -15,6 +15,7 @@ metrics are built on.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -315,7 +316,7 @@ class ExperimentConfig:
         if len(set(self.gammas)) < len(self.gammas):
             raise ValueError(f"gammas must not repeat a value, got {list(self.gammas)}")
         for gamma in self.gammas:  # each rule is checked by the type that applies it
-            SpdConfig(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
+            _spd_config(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
         CostModel(self.cost_c)
         RngState(self.seed)
 
@@ -458,6 +459,13 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
     return _RunContext(tokenizer, target, draft, records, prompts)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _spd_config(gamma: int, mode: str, max_new_tokens: int, stop_on_eos: bool) -> SpdConfig:
+    """The one ``SpdConfig`` of these knobs, built and checked once: it is
+    frozen, so every generation at a gamma shares it."""
+    return SpdConfig(gamma, mode, max_new_tokens, stop_on_eos)
+
+
 def generate_for_prompt(
     target: MultimodalTargetLm,
     draft: PromptConditionedLm,
@@ -480,7 +488,7 @@ def generate_for_prompt(
     baseline = autoregressive_generate(
         target, prompt, cfg.max_new_tokens, cfg.mode, baseline_rng, stop_on_eos=cfg.stop_on_eos
     )
-    spd_cfg = SpdConfig(gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos)
+    spd_cfg = _spd_config(gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos)
     spd, trace = spd_generate(target, draft, prompt, spd_cfg, spd_rng)
     return baseline, spd, trace
 

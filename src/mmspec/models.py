@@ -10,6 +10,8 @@ sees text alone.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +22,7 @@ from mmspec.core import MultimodalPrompt, ProbDist, TokenId, Vocab
 __all__ = [
     "BOS",
     "EmptyCorpusError",
+    "MAX_COUNT_CELLS",
     "ModelFormatError",
     "MultimodalTargetLm",
     "NGRAM_FORMAT",
@@ -36,7 +39,12 @@ __all__ = [
 # never in model output.
 BOS: TokenId = -1
 
-NGRAM_FORMAT = "ngram-v1"
+NGRAM_FORMAT = "ngram-v2"
+
+# The most cells (contexts x vocab size) a model file's count matrix may have.  load_ngram checks it before it
+# allocates the matrix, so a file of a few bytes cannot ask for a huge one; 2**22 int64 cells are 32 MiB, about 80
+# times the bundled corpus's order-4 model.
+MAX_COUNT_CELLS = 1 << 22
 
 
 class EmptyCorpusError(ValueError):
@@ -170,76 +178,117 @@ def train_ngram(
 
 
 # --------------------------------------------------------------------------- #
-#  Serialization (format "ngram-v1")
+#  Serialization (format "ngram-v2")
 # --------------------------------------------------------------------------- #
 
 
 def save_ngram(model: NgramLm, path: str | Path) -> None:
-    """Write a model as ``ngram-v1`` JSON; a given model always produces
-    identical bytes (contexts are sorted)."""
+    """Write a model as ``ngram-v2`` JSON: the header, the sorted contexts,
+    and a ``[context_index, token, count]`` triple for each nonzero count,
+    in sorted order, so a given model always produces identical bytes."""
+    order = sorted(range(len(model.contexts)), key=model.contexts.__getitem__)
+    counts = model.counts[order]
+    rows, tokens = np.nonzero(counts)  # row-major, so the triples come out sorted
     payload = {
         "format": NGRAM_FORMAT,
         "order": model.order,
         "alpha": model.alpha,
         "vocab_size": model.vocab.size,
         "eos": model.vocab.eos,
-        "counts": [
-            [list(ctx), row] for ctx, row in sorted(zip(model.contexts, model.counts.tolist()))
-        ],
+        "contexts": [list(model.contexts[i]) for i in order],
+        "counts": np.stack([rows, tokens, counts[rows, tokens]], axis=1).tolist(),
     }
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_ngram(path: str | Path) -> NgramLm:
-    """Read an ``ngram-v1`` model file back into an NgramLm.
+    """Read an ``ngram-v2`` model file back into an NgramLm.
 
     Raises:
-        ModelFormatError: if the file is not valid ``ngram-v1``, including no
-            count rows, a non-integer header value, context id or count, a
-            context of the wrong length or with an id outside the
-            vocabulary (other than :data:`BOS`), a repeated context, a
-            count row of the wrong width or with a negative count, or an
-            ``alpha`` that is not a JSON number, not finite and > 0, or
-            whose ``alpha * vocab_size`` overflows.
+        ModelFormatError: if the file is not UTF-8 JSON tagged ``ngram-v2``
+            (an ``ngram-v1`` file among them), or its payload is malformed:
+            a missing field; a header, context id or triple value that is
+            not a JSON integer; an ``alpha`` that is not a JSON number, not
+            finite and > 0, or whose ``alpha * vocab_size`` overflows; no
+            contexts; a context of the wrong length, with an id outside the
+            vocabulary other than :data:`BOS`, or listed twice; a triple
+            that is not three integers, names a context index outside
+            ``contexts`` or a token outside ``[0, vocab_size)``, holds a
+            count below 1, or repeats a (context, token) cell; or a count
+            matrix of more than :data:`MAX_COUNT_CELLS` cells.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
-        raise ModelFormatError(f"{path}: expected format {NGRAM_FORMAT!r}")
+    tag = payload.get("format") if isinstance(payload, dict) else None
+    if tag != NGRAM_FORMAT:
+        raise ModelFormatError(
+            f"{path}: expected format {NGRAM_FORMAT!r}, got {tag!r}; run `mmspec train` to write the model again"
+        )
     try:
-        size, eos, order = header = [payload[key] for key in ("vocab_size", "eos", "order")]
-        if any(type(value) is not int for value in header):
-            raise TypeError(f"vocab_size, eos and order must be integers, got {header}")
-        vocab = Vocab(size=size, eos=eos)
-        alpha = payload["alpha"]
-        if type(alpha) not in (int, float):
-            raise TypeError(f"alpha must be a number, got {alpha!r}")
-        alpha = float(alpha)
-        contexts = tuple(tuple(ctx) for ctx, _ in payload["counts"])
-        table = np.array([row for _, row in payload["counts"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{path}: malformed {NGRAM_FORMAT} payload ({exc})") from exc
-    seen: set[tuple[TokenId, ...]] = set()
-    for ctx in contexts:
-        if len(ctx) != order - 1 or any(type(t) is not int or not (t == BOS or 0 <= t < vocab.size) for t in ctx):
-            raise ModelFormatError(f"{path}: context {list(ctx)} is not {order - 1} ids in [0, {vocab.size}) or BOS")
-        if ctx in seen:
-            raise ModelFormatError(f"{path}: context {list(ctx)} appears twice")
-        seen.add(ctx)
-    try:
-        model = NgramLm(vocab, order, alpha, contexts, table)
-    except ValueError as exc:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: {NGRAM_FORMAT} payload has no field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    # numpy reads a JSON true/false in an integer row as 1/0, and only a file that holds such a literal can hide one;
-    # the model has checked the shape, so every row is a list of vocab_size scalars here
-    if "true" in text or "false" in text:
-        for ctx, row in payload["counts"]:
-            if any(type(c) is not int for c in row):
-                raise ModelFormatError(f"{path}: count row for context {ctx} holds a non-integer count")
-    return model
+
+
+def _int_rows(payload: dict, what: str, width: int) -> np.ndarray:
+    """``payload[what]`` as an int64 matrix, if it is a JSON list of lists of ``width`` integers each."""
+    value = payload[what]
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    if not (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}):
+        bad = next(row for row in value if type(row) is not list or len(row) != width)
+        raise ValueError(f"{what} entry {bad!r} is not a list of {width} integers")
+    # as int64, numpy would read a JSON true/false as 1/0 and truncate a float, so the values' types are checked first
+    if not set(map(type, chain.from_iterable(value))) <= {int}:
+        bad = next(row for row in value if any(type(v) is not int for v in row))
+        raise TypeError(f"{what} entry {bad!r} holds a non-integer")
+    return np.array(value, dtype=np.int64).reshape(len(value), width)
+
+
+def _model_from_payload(payload: dict) -> NgramLm:
+    """The model an ``ngram-v2`` payload describes; raises ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``OverflowError`` on a malformed one."""
+    size, eos, order = header = [payload[key] for key in ("vocab_size", "eos", "order")]
+    if any(type(value) is not int for value in header):
+        raise TypeError(f"vocab_size, eos and order must be integers, got {header}")
+    vocab = Vocab(size=size, eos=eos)
+    alpha = payload["alpha"]
+    if type(alpha) not in (int, float):
+        raise TypeError(f"alpha must be a number, got {alpha!r}")
+    alpha = float(alpha)
+    ids = _int_rows(payload, "contexts", max(order - 1, 0))
+    cells = _int_rows(payload, "counts", 3)
+    contexts = tuple(map(tuple, payload["contexts"]))
+    n = len(contexts)
+    if max(n, 1) * size > MAX_COUNT_CELLS:  # before the matrix, or the model's uniform row, is allocated
+        raise ValueError(
+            f"{n} contexts x vocab size {size} is more than the {MAX_COUNT_CELLS} count cells a model file may hold"
+        )
+    outside = np.flatnonzero(~((ids == BOS) | ((ids >= 0) & (ids < size))).all(axis=1))
+    if outside.size:
+        raise ValueError(f"context {list(contexts[outside[0]])} holds an id outside [0, {size}) other than BOS")
+    if len(set(contexts)) < n:
+        twice = next(ctx for ctx, k in Counter(contexts).items() if k > 1)
+        raise ValueError(f"context {list(twice)} appears twice")
+    index, token, count = cells.T
+    for bad, reason in (
+        ((index < 0) | (index >= n), f"names a context index outside [0, {n})"),
+        ((token < 0) | (token >= size), f"names a token outside [0, {size})"),
+        (count < 1, "holds a count below 1"),
+    ):
+        if bad.any():
+            raise ValueError(f"counts entry {cells[np.argmax(bad)].tolist()} {reason}")
+    cell, seen = np.unique(index * size + token, return_counts=True)  # below MAX_COUNT_CELLS: no overflow
+    if (seen > 1).any():
+        ctx, tok = divmod(int(cell[np.argmax(seen > 1)]), size)
+        raise ValueError(f"the cell of context {list(contexts[ctx])}, token {tok} appears twice")
+    counts = np.zeros((n, size), dtype=np.int64)
+    counts[index, token] = count
+    return NgramLm(vocab, order, alpha, contexts, counts)
 
 
 # --------------------------------------------------------------------------- #

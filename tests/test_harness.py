@@ -29,7 +29,9 @@ from mmspec.harness import (
     run_experiment,
     train_models,
 )
+from mmspec import harness
 from mmspec.core import MultimodalPrompt, RngState, Vocab
+from mmspec.engine import SpdConfig
 from mmspec.models import EmptyCorpusError, MultimodalTargetLm, TextOnlyDraftLm, load_ngram, save_ngram, train_ngram
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -543,6 +545,21 @@ class TestRunExperiment:
                 run_experiment(cfg, tmp_path / mode)
             assert (len(built) > 0) == (mode == "stochastic"), mode
             built.clear()
+
+    def test_each_gamma_builds_one_spd_config(self, demo_cfg, tmp_path, monkeypatch):
+        """A sweep builds and checks one ``SpdConfig`` per gamma, shared by
+        every prompt, not one per generation."""
+        built = []
+        check = SpdConfig.__post_init__
+
+        def counting_check(self):
+            built.append(self.gamma)
+            check(self)
+
+        monkeypatch.setattr(SpdConfig, "__post_init__", counting_check)
+        harness._spd_config.cache_clear()
+        run_experiment(replace(demo_cfg, gammas=(1, 3), max_new_tokens=8), tmp_path)
+        assert sorted(built) == [1, 3]
 
     def test_identity_pair_fills_every_block(self, identity_dir, tmp_path):
         cfg = ExperimentConfig(

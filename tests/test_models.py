@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import random_corpus, random_dist, random_model, random_prompt, ran
 
 from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
 from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
+from mmspec import models
 from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import (
     BOS,
@@ -238,6 +240,20 @@ class TestRowMemo:
             assert sample(d, mine) == want
 
 
+def payload_rows(payload):
+    """Smoothed row per context of a parsed ``ngram-v2`` payload, by a plain
+    loop over its count triples."""
+    size, alpha = payload["vocab_size"], float(payload["alpha"])
+    rows = {}
+    for i, ctx in enumerate(payload["contexts"]):
+        arr = np.zeros(size, dtype=np.int64)
+        for index, tok, count in payload["counts"]:
+            if index == i:
+                arr[tok] = count
+        rows[tuple(ctx)] = (arr + alpha) / (int(arr.sum()) + alpha * size)
+    return rows
+
+
 class TestSerialization:
     def test_round_trip_identical_dists(self, tmp_path):
         """load(save(m)) answers every query bitwise-identically to m."""
@@ -253,6 +269,37 @@ class TestSerialization:
                 prefix = rng.integers(0, vocab.size, int(rng.integers(0, 6))).tolist()
                 np.testing.assert_array_equal(m.next_dist(prefix).probs, m2.next_dist(prefix).probs)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_resave_is_byte_identical(self, tmp_path, order):
+        """save(load(p)) writes p's bytes again, and the loaded model holds the
+        trained contexts, sorted, with their count rows."""
+        tok = CharTokenizer()
+        corpus = [tok.encode(line) + [tok.vocab.eos] for line in demo_corpus_path().read_text().splitlines() if line]
+        m = train_ngram(corpus, order=order, alpha=0.1, vocab=tok.vocab)
+        p, again = tmp_path / "m.json", tmp_path / "again.json"
+        save_ngram(m, p)
+        loaded = load_ngram(p)
+        save_ngram(loaded, again)
+        assert again.read_bytes() == p.read_bytes()
+        ranked = sorted(range(len(m.contexts)), key=m.contexts.__getitem__)
+        assert loaded.contexts == tuple(m.contexts[i] for i in ranked)
+        np.testing.assert_array_equal(loaded.counts, m.counts[ranked])
+        assert loaded.counts.dtype == np.int64
+
+    def test_file_holds_only_nonzero_counts(self, tmp_path):
+        m = train_ngram([[0, 1, 0, 2]], order=2, alpha=0.5, vocab=Vocab(size=3, eos=2))
+        save_ngram(m, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert payload == {
+            "format": "ngram-v2",
+            "order": 2,
+            "alpha": 0.5,
+            "vocab_size": 3,
+            "eos": 2,
+            "contexts": [[BOS], [0], [1]],
+            "counts": [[0, 0, 1], [1, 1, 1], [1, 2, 1], [2, 0, 1]],
+        }
+
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(53)
         m = random_model(rng, random_vocab(rng))
@@ -266,51 +313,112 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_ngram(p)
 
+    def test_rejects_v1_file_naming_tag_and_retrain(self, tmp_path):
+        p = tmp_path / "old-model.json"
+        p.write_text('{"format":"ngram-v1","order":2,"alpha":1.0,"vocab_size":2,"eos":0,"counts":[[[0],[1,2]]]}')
+        message = re.escape(f"{p}: expected format 'ngram-v2', got 'ngram-v1'") + ".*`mmspec train`"
+        with pytest.raises(ModelFormatError, match=message):
+            load_ngram(p)
+
     def test_rejects_non_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("not json at all")
         with pytest.raises(ModelFormatError):
             load_ngram(p)
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deeply-nested"])
+    def test_rejects_undecodable_file_naming_file(self, tmp_path, data):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: not valid JSON")):
+            load_ngram(p)
+
     @staticmethod
-    def write_order3(path, counts, **header):
-        payload = {"format": "ngram-v1", "order": 3, "alpha": 1.0, "vocab_size": 4, "eos": 0, "counts": counts}
-        path.write_text(json.dumps({**payload, **header}))
+    def write_order3(path, contexts, counts, **header):
+        payload = {"format": "ngram-v2", "order": 3, "alpha": 1.0, "vocab_size": 4, "eos": 0}
+        path.write_text(json.dumps({**payload, "contexts": contexts, "counts": counts, **header}))
         return path
 
     @pytest.mark.parametrize(
-        "counts, reason",
+        "contexts, counts, reason",
         [
-            pytest.param([[[0, 1], [1, -5, 0, 0]]], "has a negative count", id="negative-count"),
-            pytest.param([[[1], [1, 0, 0, 0]]], "is not 2 ids", id="short-context"),
-            pytest.param([[[0, 1, 2], [1, 0, 0, 0]]], "is not 2 ids", id="long-context"),
-            pytest.param([[[0, 4], [1, 0, 0, 0]]], "is not 2 ids in", id="id-past-vocab"),
-            pytest.param([[[-2, 1], [1, 0, 0, 0]]], "is not 2 ids in", id="negative-id-not-bos"),
+            pytest.param([[0, 1]], [[0, 1, -5]], "holds a count below 1", id="negative-count"),
+            pytest.param([[1]], [[0, 0, 1]], "is not a list of 2 integers", id="short-context"),
+            pytest.param([[0, 1, 2]], [[0, 0, 1]], "is not a list of 2 integers", id="long-context"),
+            pytest.param([[0, 4]], [[0, 0, 1]], "holds an id outside", id="id-past-vocab"),
+            pytest.param([[-2, 1]], [[0, 0, 1]], "holds an id outside", id="negative-id-not-bos"),
             pytest.param(
-                [[[0, 1], [1, 0, 0, 0]], [[0, 1], [0, 1, 0, 0]]], "appears twice", id="repeated-context"
+                [[0, 1], [0, 1]], [[0, 0, 1], [1, 1, 1]], "context \\[0, 1\\] appears twice", id="repeated-context"
             ),
-            pytest.param([[[0, 1], [1.5, 2, 0, 0]]], "must be 4 integers each", id="fractional-count"),
-            pytest.param([[[0, 1], [1, True, 0, 0]]], "holds a non-integer count", id="boolean-count"),
-            pytest.param([[[0, 1.5], [1, 2, 0, 0]]], "is not 2 ids in", id="fractional-context-id"),
-            pytest.param([[[0, True], [1, 2, 0, 0]]], "is not 2 ids in", id="boolean-context-id"),
+            pytest.param([[0, 1]], [[0, 0, 1, 1]], "is not a list of 3 integers", id="long-triple"),
+            pytest.param([[0, 1]], [[0, 0, 1.5]], "holds a non-integer", id="fractional-count"),
+            pytest.param([[0, 1]], [[0, 0, True]], "holds a non-integer", id="boolean-count"),
+            pytest.param([[0, 1.5]], [[0, 0, 1]], "holds a non-integer", id="fractional-context-id"),
+            pytest.param([[0, True]], [[0, 0, 1]], "holds a non-integer", id="boolean-context-id"),
+            pytest.param([[0, 1]], [[0, 2, 1], [0, 2, 3]], "token 2 appears twice", id="repeated-cell"),
+            pytest.param([[0, 1]], [[1, 0, 1]], "context index outside", id="context-index-past-end"),
+            pytest.param([[0, 1]], [[-1, 0, 1]], "context index outside", id="negative-context-index"),
+            pytest.param([[0, 1]], [[0, 0, 0]], "holds a count below 1", id="zero-count"),
+            pytest.param([[0, 1]], [[0, 4, 1]], "token outside", id="token-past-vocab"),
+            pytest.param([[0, 1]], [[0, BOS, 1]], "token outside", id="bos-token"),
+            pytest.param([[0, 1]], [[0, 0, 2**70]], "too large", id="count-past-int64"),
+            pytest.param({"0": [0, 1]}, [[0, 0, 1]], "contexts must be a list", id="contexts-not-list"),
+            pytest.param([[0, 1]], None, "counts must be a list", id="counts-not-list"),
         ],
     )
-    def test_rejects_bad_entry_naming_file(self, tmp_path, counts, reason):
-        p = self.write_order3(tmp_path / "bad-model.json", counts)
+    def test_rejects_bad_entry_naming_file(self, tmp_path, contexts, counts, reason):
+        p = self.write_order3(tmp_path / "bad-model.json", contexts, counts)
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
+            load_ngram(p)
+
+    @pytest.mark.parametrize("field", ["order", "alpha", "vocab_size", "eos", "contexts", "counts"])
+    def test_rejects_missing_field_naming_file(self, tmp_path, field):
+        p = self.write_order3(tmp_path / "bad-model.json", [[0, 1]], [[0, 0, 1]])
+        payload = json.loads(p.read_text())
+        del payload[field]
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: ngram-v2 payload has no field '{field}'")):
             load_ngram(p)
 
     @pytest.mark.parametrize("order", [1, 3, 2_000_000])
     def test_rejects_empty_counts_naming_file(self, tmp_path, order):
         """A model with no count rows is refused at any order, as training
         refuses an empty corpus, before a query pads a window of order - 1 ids."""
-        p = self.write_order3(tmp_path / "empty-model.json", [], order=order)
+        p = self.write_order3(tmp_path / "empty-model.json", [], [], order=order)
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*no count rows"):
+            load_ngram(p)
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            pytest.param({"vocab_size": 2**40}, "is more than the 4194304 count cells", id="vocab-size"),
+            pytest.param({"order": 2_000_000}, "is not a list of 1999999 integers", id="order"),
+        ],
+    )
+    def test_small_file_cannot_ask_for_a_huge_model(self, tmp_path, header, reason):
+        """A file of a few bytes is refused before the loader allocates its
+        dense count matrix or any context-sized array."""
+        p = self.write_order3(tmp_path / "huge-model.json", [[0, 1]], [[0, 0, 1]], **header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
+                load_ngram(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_count_cell_bound_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(models, "MAX_COUNT_CELLS", 8)
+        counts = [[0, 0, 1], [1, 1, 1]]
+        assert load_ngram(self.write_order3(tmp_path / "at-bound.json", [[0, 1], [1, 2]], counts)).counts.size == 8
+        p = self.write_order3(tmp_path / "past-bound.json", [[0, 1], [1, 2], [2, 3]], counts)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: 3 contexts x vocab size 4 is more than the 8")):
             load_ngram(p)
 
     @pytest.mark.parametrize("header", [{"order": 2.7}, {"vocab_size": 3.9}], ids=["order", "vocab-size"])
     def test_rejects_fractional_header_naming_file(self, tmp_path, header):
-        p = self.write_order3(tmp_path / "bad-model.json", [[[0, 1], [1, 2, 0, 0]]], **header)
+        p = self.write_order3(tmp_path / "bad-model.json", [[0, 1]], [[0, 0, 1], [0, 1, 2]], **header)
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*must be integers"):
             load_ngram(p)
 
@@ -329,30 +437,120 @@ class TestSerialization:
         ],
     )
     def test_rejects_bad_alpha_naming_file(self, tmp_path, alpha, reason):
-        p = self.write_order3(tmp_path / "bad-model.json", [[[0, 1], [1, 2, 0, 0]]])
+        p = self.write_order3(tmp_path / "bad-model.json", [[0, 1]], [[0, 0, 1], [0, 1, 2]])
         p.write_text(p.read_text().replace('"alpha": 1.0', f'"alpha": {alpha}'))
         with pytest.raises(ModelFormatError, match=re.escape(str(p)) + ".*" + reason):
             load_ngram(p)
 
     def test_integer_alpha_loads(self, tmp_path):
-        p = self.write_order3(tmp_path / "model.json", [[[0, 1], [1, 2, 0, 0]]], alpha=1)
+        p = self.write_order3(tmp_path / "model.json", [[0, 1]], [[0, 0, 1], [0, 1, 2]], alpha=1)
         m = load_ngram(p)
         assert m.alpha == 1.0 and type(m.alpha) is float
         np.testing.assert_array_equal(m.next_dist([0, 1]).probs, [2 / 7, 3 / 7, 1 / 7, 1 / 7])
 
     def test_bos_context_loads(self, tmp_path):
-        p = self.write_order3(tmp_path / "bos.json", [[[BOS, 2], [0, 3, 0, 0]]])
+        p = self.write_order3(tmp_path / "bos.json", [[BOS, 2]], [[0, 1, 3]])
         m = load_ngram(p)
         np.testing.assert_allclose(m.next_dist([2]).probs, [1 / 7, 4 / 7, 1 / 7, 1 / 7])
 
+    def test_unsorted_file_loads_the_same_model(self, tmp_path):
+        """Sorting is how save_ngram writes, not a rule the loader holds files to."""
+        p = self.write_order3(tmp_path / "model.json", [[0, 1], [BOS, 2]], [[1, 1, 3], [0, 2, 1], [0, 0, 2]])
+        m = load_ngram(p)
+        assert m.contexts == ((0, 1), (BOS, 2))
+        np.testing.assert_array_equal(m.counts, [[2, 0, 1, 0], [0, 3, 0, 0]])
+
     def test_rejects_bad_row_width(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(
-            '{"format":"ngram-v1","order":2,"alpha":1.0,"vocab_size":2,"eos":0,'
-            '"counts":[[[0],[1,2,3]]]}'
-        )
-        with pytest.raises(ModelFormatError):
+        p = self.write_order3(tmp_path / "bad.json", [[0]], [[0, 1]], order=2, vocab_size=2)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: counts entry [0, 1] is not a list of 3 integers")):
             load_ngram(p)
+
+
+class TestModelFileFuzz:
+    """Seeded mutations of a saved file: each one either loads, with the rows
+    the mutated file states, or raises ModelFormatError naming the file.  Any
+    other exception fails the test."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        vocab = Vocab(size=5, eos=4)
+        model = random_model(np.random.default_rng(61), vocab, order=3, alpha=0.25, n_seqs=6, max_len=8)
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        save_ngram(model, path)
+        return path, path.read_bytes(), model
+
+    @staticmethod
+    def outcome(path, data):
+        """``"rejected"``, or the loaded model after checking its rows against ``data``."""
+        path.write_bytes(data)
+        try:
+            model = load_ngram(path)
+        except ModelFormatError as exc:
+            assert str(path) in str(exc)
+            return "rejected"
+        want = payload_rows(json.loads(data))
+        assert set(model.rows) == set(want)
+        for ctx, probs in want.items():
+            np.testing.assert_array_equal(model.rows[ctx].probs, probs)
+        return model
+
+    def test_unmutated_file_states_its_model(self, saved):
+        path, data, model = saved
+        want = payload_rows(json.loads(data))
+        assert set(want) == set(model.rows)
+        for ctx, probs in want.items():
+            np.testing.assert_array_equal(model.rows[ctx].probs, probs)
+        assert self.outcome(path, data) != "rejected"
+
+    def test_truncation(self, saved):
+        path, data, _ = saved
+        body = data.rstrip()
+        for cut in range(len(data)):
+            result = self.outcome(path, data[:cut])
+            assert (result == "rejected") == (cut < len(body)), cut
+
+    def test_wrong_typed_values(self, saved):
+        path, data, _ = saved
+        original = json.loads(data)
+        wrong = {
+            int: [None, True, False, 1.0, "1", [], {}],
+            float: [None, True, "1.0", [], {}],
+            str: [None, 2, True, [], {}],
+            list: [None, 1, 1.0, "x", True, {}],
+        }
+        slots = [(key,) for key in original]
+        slots += [(key, 0) for key in ("contexts", "counts")] + [("counts", -1)]
+        slots += [("contexts", 0, j) for j in range(2)] + [("counts", 0, j) for j in range(3)]
+        cases = 0
+        for slot in slots:
+            *parents, last = slot
+            for value in wrong[type(self.at(original, slot))]:
+                payload = json.loads(data)
+                self.at(payload, parents)[last] = value
+                assert self.outcome(path, json.dumps(payload).encode()) == "rejected", (slot, value)
+                cases += 1
+        assert cases > 50
+
+    @staticmethod
+    def at(payload, slot):
+        for key in slot:
+            payload = payload[key]
+        return payload
+
+    def test_byte_flips(self, saved):
+        path, data, _ = saved
+        rng = np.random.default_rng(62)
+        results = []
+        for _ in range(600):
+            mutated = bytearray(data)
+            pos = int(rng.integers(len(data)))
+            if rng.random() < 0.5:
+                mutated[pos] ^= 1 << int(rng.integers(8))
+            else:
+                mutated[pos] = int(rng.integers(256))
+            results.append(self.outcome(path, bytes(mutated)))
+        # both branches are reached: some flips give another valid model, most break the file
+        assert 0 < sum(r != "rejected" for r in results) < len(results) / 2
 
 
 class TestPromptViews:
