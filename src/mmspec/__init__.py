@@ -64,6 +64,7 @@ from mmspec.models import (
     MultimodalTargetLm,
     NgramLm,
     TextOnlyDraftLm,
+    TrainingError,
     load_ngram,
     save_ngram,
     train_ngram,

@@ -10,6 +10,7 @@ sees text alone.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
     "NgramLm",
     "PromptConditionedLm",
     "TextOnlyDraftLm",
+    "TrainingError",
     "load_ngram",
     "save_ngram",
     "train_ngram",
@@ -43,11 +45,16 @@ NGRAM_FORMAT = "ngram-v2"
 
 # The most cells (contexts x vocab size) a model file's count matrix may have.  load_ngram checks it before it
 # allocates the matrix, so a file of a few bytes cannot ask for a huge one; 2**22 int64 cells are 32 MiB, about 80
-# times the bundled corpus's order-4 model.
+# times the bundled corpus's order-4 model.  train_ngram holds its window and count matrices to it too, so it never
+# writes a model load_ngram refuses.
 MAX_COUNT_CELLS = 1 << 22
 
 
-class EmptyCorpusError(ValueError):
+class TrainingError(ValueError):
+    """Raised when train_ngram cannot build a model from its arguments."""
+
+
+class EmptyCorpusError(TrainingError):
     """Raised when training is attempted on no usable sequences."""
 
 
@@ -70,7 +77,8 @@ class NgramLm:
 
     ``counts`` is one integer matrix, checked and frozen here, whose row
     ``i`` counts the tokens that followed ``contexts[i]`` in training: at
-    least one row, ``vocab.size`` columns, no negative count.  :attr:`rows`
+    least one row, ``vocab.size`` columns, no negative count, and no row
+    whose total passes ``2**63 - 1``, where int64 would wrap.  :attr:`rows`
     holds the row of every such context.  It is built on first use, in one
     numpy pass over the matrix that is validated as a whole, so loading a
     model does no extra work.  A query is then one ``dict.get`` that falls
@@ -95,9 +103,16 @@ class NgramLm:
             raise ValueError("no count rows; training always yields at least one")
         if counts.shape != (len(contexts), vocab.size) or counts.dtype.kind != "i":
             raise ValueError(f"count rows must be {vocab.size} integers each, got {counts.dtype} {counts.shape}")
-        negative = np.flatnonzero(np.any(counts < 0, axis=1))
-        if negative.size:
-            raise ValueError(f"count row for context {list(contexts[negative[0]])} has a negative count")
+        if counts.min() < 0:
+            negative = np.flatnonzero((counts < 0).any(axis=1))[0]
+            raise ValueError(f"count row for context {list(contexts[negative])} has a negative count")
+        if counts.max() > np.iinfo(np.int64).max // vocab.size:  # only then can a row total pass 2**63 - 1
+            # each count split at bit 32, so neither part's row sum can wrap: the total passes 2**63 - 1
+            # exactly when high + (low >> 32) reaches 2**31
+            high = (counts >> 32).sum(axis=1) + ((counts & 0xFFFFFFFF).sum(axis=1) >> 32)
+            over = np.flatnonzero(high >= 1 << 31)
+            if over.size:
+                raise ValueError(f"count row for context {list(contexts[over[0]])} sums past 2**63 - 1")
         counts.setflags(write=False)
         self.vocab = vocab
         self.order = order
@@ -154,27 +169,71 @@ def train_ngram(
     """Count next-token occurrences over ``corpus`` and build an NgramLm.
 
     Each sequence is conceptually left-padded with :data:`BOS` so the
-    position-0 prediction is defined.
+    position-0 prediction is defined.  Counting is array code: every
+    token's window is gathered from one padded array, one stable lexsort
+    groups equal windows, contexts are numbered in first-seen order, and
+    one ``np.bincount`` fills the count matrix.
 
     Raises:
+        TrainingError: if ``order`` is below 1; a token id is not an
+            integer (a float or a boolean) or falls outside the vocabulary;
+            or the window matrix (tokens x ``order - 1``) or the count
+            matrix (contexts x vocab size) would have more than
+            :data:`MAX_COUNT_CELLS` cells.
         EmptyCorpusError: if the corpus has no non-empty sequences.
-        ValueError: if any token id falls outside the vocabulary.
     """
-    seqs = [tuple(s) for s in corpus if len(s) > 0]
+    if order < 1:
+        raise TrainingError(f"order must be >= 1, got {order}")
+    seqs = [seq for seq in corpus if len(seq) > 0]
     if not seqs:
         raise EmptyCorpusError("training corpus has no non-empty sequences")
-    need, size = order - 1, vocab.size
-    rows: dict[tuple[TokenId, ...], int] = {}  # context -> its row, in first-seen order
-    cells = []  # row * size + token, once per occurrence
-    for seq in seqs:
-        for tok in seq:
-            if not 0 <= tok < size:
-                raise ValueError(f"token id {tok} outside vocab of size {size}")
-        padded = (BOS,) * need + seq
-        for i, tok in enumerate(seq):
-            cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
-    counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
-    return NgramLm(vocab, order, alpha, tuple(rows), counts)
+    lengths = [len(seq) for seq in seqs]
+    need, size, n = order - 1, vocab.size, sum(lengths)
+    # as int64, numpy would count True as 1 and truncate 1.5, so the ids' types are checked first
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, chain.from_iterable(seqs)))):
+        bad = next(t for t in chain.from_iterable(seqs) if type(t) is bool or not isinstance(t, (int, np.integer)))
+        raise TrainingError(f"token id {bad!r} is not an integer")
+    if n * need > MAX_COUNT_CELLS:  # before the window matrix is allocated
+        raise TrainingError(
+            f"{n} tokens x {need} window ids is more than the {MAX_COUNT_CELLS} cells an order-{order} model may use"
+        )
+    try:
+        tokens = np.fromiter(chain.from_iterable(seqs), np.int64, n)
+        inside = tokens.min() >= 0 and tokens.max() < size
+    except OverflowError:  # an id past int64
+        inside = False
+    if not inside:
+        bad = next(t for t in chain.from_iterable(seqs) if not 0 <= t < size)
+        raise TrainingError(f"token id {bad} outside vocab of size {size}")
+    if need:
+        # Each sequence's tokens follow its own `need` pads in one array.  Ids are stored shifted up by one, so BOS
+        # is 0, in the smallest unsigned type that holds V: for a vocabulary below 2**16 the lexsort is a radix sort.
+        at = np.arange(n) + np.repeat(np.arange(1, len(seqs) + 1) * need, lengths)
+        padded = np.zeros(n + need * len(seqs), dtype=np.min_scalar_type(size))
+        padded[at] = tokens + 1
+        columns = [padded[at - back] for back in range(need, 0, -1)]  # the window matrix, one column per position
+        ranked = np.lexsort(columns)  # stable: equal windows stay in corpus order
+        starts = np.zeros(n, dtype=bool)  # where each run of equal windows begins in sorted order
+        starts[0] = True
+        for column in columns:
+            run = column[ranked]
+            starts[1:] |= run[1:] != run[:-1]
+        firsts = ranked[starts]  # each distinct window's first position in the corpus
+        seen = np.argsort(firsts)  # the runs in first-seen order
+        number = np.empty(len(firsts), dtype=np.int64)  # each run's context index
+        number[seen] = np.arange(len(firsts))
+        rows = np.empty(n, dtype=np.int64)
+        rows[ranked] = number[np.cumsum(starts) - 1]
+        contexts = tuple(zip(*((column[firsts[seen]].astype(np.int64) - 1).tolist() for column in columns)))
+    else:  # order 1: the one empty context
+        contexts, rows = ((),), np.zeros(n, dtype=np.int64)
+    if len(contexts) * size > MAX_COUNT_CELLS:  # before the count matrix is allocated
+        raise TrainingError(
+            f"{len(contexts)} contexts x vocab size {size} is more than the {MAX_COUNT_CELLS} count cells "
+            "a model may hold"
+        )
+    counts = np.bincount(rows * size + tokens, minlength=len(contexts) * size).reshape(len(contexts), size)
+    return NgramLm(vocab, order, alpha, contexts, counts)
 
 
 # --------------------------------------------------------------------------- #
@@ -185,7 +244,11 @@ def train_ngram(
 def save_ngram(model: NgramLm, path: str | Path) -> None:
     """Write a model as ``ngram-v2`` JSON: the header, the sorted contexts,
     and a ``[context_index, token, count]`` triple for each nonzero count,
-    in sorted order, so a given model always produces identical bytes."""
+    in sorted order, so a given model always produces identical bytes.
+
+    The JSON goes to a temporary file in the target directory that
+    ``os.replace`` moves into place, so a failed write leaves any previous
+    model file intact."""
     order = sorted(range(len(model.contexts)), key=model.contexts.__getitem__)
     counts = model.counts[order]
     rows, tokens = np.nonzero(counts)  # row-major, so the triples come out sorted
@@ -198,7 +261,14 @@ def save_ngram(model: NgramLm, path: str | Path) -> None:
         "contexts": [list(model.contexts[i]) for i in order],
         "counts": np.stack([rows, tokens, counts[rows, tokens]], axis=1).tolist(),
     }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # never leave the temporary file behind
+        raise
 
 
 def load_ngram(path: str | Path) -> NgramLm:
@@ -214,8 +284,9 @@ def load_ngram(path: str | Path) -> NgramLm:
             vocabulary other than :data:`BOS`, or listed twice; a triple
             that is not three integers, names a context index outside
             ``contexts`` or a token outside ``[0, vocab_size)``, holds a
-            count below 1, or repeats a (context, token) cell; or a count
-            matrix of more than :data:`MAX_COUNT_CELLS` cells.
+            count below 1, or repeats a (context, token) cell; a count
+            matrix of more than :data:`MAX_COUNT_CELLS` cells; or a context
+            whose counts sum past ``2**63 - 1``.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -4,7 +4,7 @@ import numpy as np
 
 from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab
 from mmspec.engine import BlockRecord, BlockTrace
-from mmspec.models import train_ngram
+from mmspec.models import BOS, NgramLm, train_ngram
 
 
 def random_vocab(rng, min_size=2, max_size=16):
@@ -26,6 +26,21 @@ def random_model(rng, vocab, order=None, alpha=None, **corpus_kw):
     if alpha is None:
         alpha = float(rng.uniform(0.2, 1.5))
     return train_ngram(random_corpus(rng, vocab, **corpus_kw), order, alpha, vocab)
+
+
+def loop_train_ngram(corpus, order, alpha, vocab):
+    """The counting reference ``train_ngram`` is checked against: one Python
+    step per token, contexts numbered as first seen."""
+    seqs = [tuple(s) for s in corpus if len(s) > 0]
+    need, size = order - 1, vocab.size
+    rows = {}  # context -> its row, in first-seen order
+    cells = []  # row * size + token, once per occurrence
+    for seq in seqs:
+        padded = (BOS,) * need + seq
+        for i, tok in enumerate(seq):
+            cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
+    counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
+    return NgramLm(vocab, order, alpha, tuple(rows), counts)
 
 
 def random_prompt(rng, vocab, max_image=4, max_text=6):

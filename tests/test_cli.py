@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,35 @@ class TestTrain:
         corpus.write_text("a naive line\na na\u00efve line\n", encoding="utf-8")
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m")]) == 1
         assert capsys.readouterr().err == f"error: {corpus}:2: character '\u00ef' is not in the alphabet\n"
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            pytest.param(
+                ["--target-order", "1000000"],
+                "x 999999 window ids is more than the 4194304 cells an order-1000000 model may use",
+                id="huge-order",
+            ),
+            pytest.param(["--draft-order", "0"], "order must be >= 1, got 0", id="zero-order"),
+            pytest.param(["--target-alpha", "0"], "smoothing alpha must be > 0", id="zero-alpha"),
+            pytest.param(["--draft-alpha", "nan"], "smoothing alpha must be > 0", id="nan-alpha"),
+            pytest.param(["--draft-alpha", "inf"], "alpha * vocab size finite", id="infinite-alpha"),
+        ],
+    )
+    def test_bad_flag_is_one_clean_error(self, tmp_path, capsys, flags, reason):
+        """A bad order or alpha fails with one error line, writes nothing, and a
+        huge order is refused before training allocates its window matrix."""
+        tracemalloc.start()
+        try:
+            rc = main(["train", *flags, "--out", str(tmp_path / "m")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+        assert peak < 4 << 20
         assert not (tmp_path / "m").exists()
 
 

@@ -1,6 +1,7 @@
 """Tests for n-gram models, block scoring, serialization, and prompt views."""
 
 import json
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_corpus, random_dist, random_model, random_prompt, random_vocab
+from helpers import loop_train_ngram, random_corpus, random_dist, random_model, random_prompt, random_vocab
 
 from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
 from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
@@ -21,6 +22,7 @@ from mmspec.models import (
     MultimodalTargetLm,
     NgramLm,
     TextOnlyDraftLm,
+    TrainingError,
     load_ngram,
     save_ngram,
     train_ngram,
@@ -57,6 +59,55 @@ class TestTrainNgram:
             train_ngram([[0, 2]], order=2, alpha=1.0, vocab=VOCAB2)
 
     @pytest.mark.parametrize(
+        "corpus, reason",
+        [
+            pytest.param([[0, 1.5, 2, 4]], "token id 1.5 is not an integer", id="float"),
+            pytest.param([[0, 1], [2, True]], "token id True is not an integer", id="boolean"),
+            pytest.param([[0, 1], [2.0]], "token id 2.0 is not an integer", id="integral-float"),
+            pytest.param([[0, 5]], "token id 5 outside vocab of size 5", id="past-vocab"),
+            pytest.param([[0, BOS]], "token id -1 outside vocab of size 5", id="bos"),
+            pytest.param([[0, 2**70]], f"token id {2**70} outside vocab of size 5", id="past-int64"),
+        ],
+    )
+    def test_rejects_bad_token_id(self, corpus, reason):
+        """A token id must be an integer in the vocabulary; numpy would count
+        True as token 1 and truncate 1.5 to it."""
+        with pytest.raises(TrainingError, match=re.escape(reason)):
+            train_ngram(corpus, 2, 0.1, Vocab(5, 4))
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_rejects_order_below_one(self, order):
+        with pytest.raises(TrainingError, match=re.escape(f"order must be >= 1, got {order}")):
+            train_ngram([[0, 1]], order, 0.1, VOCAB2)
+
+    def test_cell_bounds_are_inclusive(self, monkeypatch):
+        """4 tokens x 2 window ids and 4 contexts x 2 tokens sit at a bound of 8 cells."""
+        monkeypatch.setattr(models, "MAX_COUNT_CELLS", 8)
+        assert train_ngram([[0, 1, 0, 1]], 3, 0.1, VOCAB2).counts.size == 8
+        with pytest.raises(TrainingError, match="4 tokens x 3 window ids is more than the 8 cells an order-4 model"):
+            train_ngram([[0, 1, 0, 1]], 4, 0.1, VOCAB2)
+        with pytest.raises(TrainingError, match="4 contexts x vocab size 3 is more than the 8 count cells"):
+            train_ngram([[0, 1, 0, 1]], 3, 0.1, Vocab(3, 2))
+
+    @pytest.mark.parametrize(
+        "order, vocab, reason",
+        [
+            pytest.param(2_000_000, VOCAB2, "4 tokens x 1999999 window ids is more than the 4194304", id="order"),
+            pytest.param(2, Vocab(2**40, 0), "3 contexts x vocab size 1099511627776 is more", id="vocab-size"),
+            pytest.param(1, Vocab(2**40, 0), "1 contexts x vocab size 1099511627776 is more", id="order-1-vocab-size"),
+        ],
+    )
+    def test_huge_model_fails_before_allocating(self, order, vocab, reason):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrainingError, match=reason):
+                train_ngram([[0, 1, 0, 1]], order, 0.1, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
         "vocab_size, contexts, counts, reason",
         [
             pytest.param(3, ((0,),), np.zeros((2, 3), dtype=np.int64), "must be 3 integers each", id="extra-row"),
@@ -65,6 +116,8 @@ class TestTrainNgram:
             pytest.param(3, ((0,),), np.array([[1, -1, 0]]), r"context \[0\] has a negative count", id="negative"),
             pytest.param(3, (), np.zeros((0, 3), dtype=np.int64), "no count rows", id="no-rows"),
             pytest.param(2**62, ((0,),), np.zeros((1, 3), dtype=np.int64), "integers each", id="huge-vocab"),
+            pytest.param(3, ((0,),), np.array([[2**62, 2**62, 0]]), "sums past 2\\*\\*63 - 1", id="total-past-int64"),
+            pytest.param(4, ((0,),), np.full((1, 4), 2**62), "sums past 2\\*\\*63 - 1", id="total-wraps-to-zero"),
         ],
     )
     def test_constructor_rejects_bad_count_matrix(self, vocab_size, contexts, counts, reason):
@@ -72,6 +125,10 @@ class TestTrainNgram:
         counts per context; a huge vocab size fails before any row is allocated."""
         with pytest.raises(ValueError, match=reason):
             NgramLm(Vocab(vocab_size, 0), 2, 1.0, contexts, counts)
+
+    def test_row_total_bound_is_inclusive(self):
+        m = NgramLm(Vocab(3, 0), 2, 1.0, ((0,), (1,)), np.array([[2**62, 2**62 - 1, 0], [0, 0, 2**62]]))
+        np.testing.assert_allclose(m.next_dist([0]).probs, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_dists_are_valid(self):
         """Every context row yields non-negative probabilities summing to 1."""
@@ -84,6 +141,57 @@ class TestTrainNgram:
                 d = m.next_dist(prefix)
                 assert np.all(d.probs >= 0)
                 assert abs(float(d.probs.sum()) - 1.0) < 1e-9
+
+
+class TestTrainNgramMatchesLoop:
+    """The array counting equals the loop in ``helpers.loop_train_ngram``:
+    the same contexts in the same first-seen order, and the same counts."""
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(56)
+        for trial in range(250):
+            order = 1 + trial % 5
+            size = int(rng.integers(2, 301))
+            vocab = Vocab(size, int(rng.integers(0, size)))
+            # a few ids, so windows repeat, with V - 1 among them
+            ids = np.append(rng.integers(0, size, int(rng.integers(1, 6))), size - 1)
+            corpus = [rng.choice(ids, int(rng.integers(0, 12))).tolist() for _ in range(int(rng.integers(0, 10)))]
+            for extra in ([], [int(rng.choice(ids))], [size - 1]):  # empty, 1-token, V - 1
+                corpus.insert(int(rng.integers(0, len(corpus) + 1)), extra)
+            want = loop_train_ngram(corpus, order, 0.5, vocab)
+            got = train_ngram(corpus, order, 0.5, vocab)
+            assert got.contexts == want.contexts
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("size", [255, 256, 65_535, 65_536, 70_000])
+    def test_wide_vocabularies(self, size):
+        """Shifted ids take one more value than V: V = 255 is the widest uint8 window, V = 65,536 needs 32 bits."""
+        rng = np.random.default_rng(size)
+        ids = np.array([0, 1, size - 2, size - 1])
+        corpus = [rng.choice(ids, 6).tolist() for _ in range(5)] + [[size - 1, size - 1, size - 1]]
+        for order in (2, 3):
+            want = loop_train_ngram(corpus, order, 0.5, Vocab(size, 0))
+            got = train_ngram(corpus, order, 0.5, Vocab(size, 0))
+            assert got.contexts == want.contexts
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_numpy_sequences_give_the_same_model(self):
+        corpus = [[0, 3, 1, 3], [2], [], [3, 3, 0]]
+        want = train_ngram(corpus, 3, 0.5, Vocab(4, 0))
+        got = train_ngram([np.array(seq, dtype=np.int32) for seq in corpus], 3, 0.5, Vocab(4, 0))
+        assert got.contexts == want.contexts and all(type(i) is int for ctx in got.contexts for i in ctx)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bundled_corpus_file_bytes(self, tmp_path, order):
+        tok = CharTokenizer()
+        corpus = [tok.encode(line) + [tok.vocab.eos] for line in demo_corpus_path().read_text().splitlines() if line]
+        got = train_ngram(corpus, order, 0.1, tok.vocab)
+        want = loop_train_ngram(corpus, order, 0.1, tok.vocab)
+        assert got.contexts == want.contexts
+        save_ngram(got, tmp_path / "got.json")
+        save_ngram(want, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 class TestScoreBlock:
@@ -307,6 +415,21 @@ class TestSerialization:
         save_ngram(m, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """The model is written to a temporary file that os.replace moves into place."""
+        p = tmp_path / "m.json"
+        save_ngram(train_ngram([[0, 1, 0, 1]], order=2, alpha=1.0, vocab=VOCAB2), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_ngram(train_ngram([[1, 1, 1]], order=3, alpha=0.5, vocab=VOCAB2), p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_rejects_wrong_format_tag(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"format":"other-v9"}')
@@ -362,6 +485,12 @@ class TestSerialization:
             pytest.param([[0, 1]], [[0, 4, 1]], "token outside", id="token-past-vocab"),
             pytest.param([[0, 1]], [[0, BOS, 1]], "token outside", id="bos-token"),
             pytest.param([[0, 1]], [[0, 0, 2**70]], "too large", id="count-past-int64"),
+            pytest.param(
+                [[0, 1]],
+                [[0, 0, 2**62], [0, 1, 2**62]],
+                "context \\[0, 1\\] sums past 2\\*\\*63 - 1",
+                id="row-total-past-int64",
+            ),
             pytest.param({"0": [0, 1]}, [[0, 0, 1]], "contexts must be a list", id="contexts-not-list"),
             pytest.param([[0, 1]], None, "counts must be a list", id="counts-not-list"),
         ],
