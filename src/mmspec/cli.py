@@ -48,7 +48,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     gammas = cfg.gammas if args.gamma is None else (args.gamma,)
-    return dataclasses.replace(cfg, seed=seed, gammas=gammas)  # validates the overrides too
+    try:
+        return dataclasses.replace(cfg, seed=seed, gammas=gammas)  # validates the overrides too
+    except ValueError as exc:
+        raise ValueError(f"{exc} (config {args.config} with the command-line overrides)") from None
 
 
 def main(argv: list[str] | None = None) -> int:

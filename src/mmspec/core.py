@@ -68,8 +68,8 @@ class ProbDist:
     returns.  ``cdf`` and ``values`` are read-only ``memoryview`` objects,
     because indexing one gives a Python float at less than half what
     indexing an array costs.  ``residuals`` holds, per draft row, the
-    residual ``engine.residual_dist`` built; it stays ``None`` until the
-    row stores its first one, as most rows never do.
+    residual ``engine.residual_table`` or ``engine.residual_dist`` built;
+    it stays ``None`` until the row stores its first one, as most never do.
     """
 
     __slots__ = ("probs", "values", "cdf", "_top", "residuals")

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, TokenId, argmax, normalize, sample
-from mmspec.models import PromptConditionedLm
+from mmspec.models import NgramLm, PromptConditionedLm
 
 __all__ = [
     "BlockRecord",
@@ -36,6 +36,7 @@ __all__ = [
     "autoregressive_generate",
     "draft_block",
     "residual_dist",
+    "residual_table",
     "spd_generate",
     "verify_greedy",
     "verify_stochastic",
@@ -125,9 +126,9 @@ class BlockTrace:
 def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
     """Normalized ``max(0, q - p)``: where to resample after a rejection.
 
-    Built once per ``(q, p)`` pair of (shared, so recurring) model rows
-    and kept in ``q.residuals`` under ``p``, a dict made when ``q`` stores
-    its first residual; a failed build is not kept.
+    Kept in ``q.residuals`` under ``p``, a dict made with ``q``'s first
+    residual: :func:`residual_table` stores most pairs, and any other pair
+    is built on its first rejection and kept unless the build fails.
 
     Raises:
         AllZeroError: if ``q <= p`` entrywise; :func:`verify_stochastic`
@@ -139,6 +140,29 @@ def residual_dist(q: ProbDist, p: ProbDist) -> ProbDist:
         res = memo[p] = normalize(np.maximum(q.probs - p.probs, 0.0))
         q.residuals = memo
     return res
+
+
+def residual_table(target: NgramLm, draft: NgramLm) -> None:
+    """Mark ``target`` as built against ``draft`` and store, in one numpy
+    pass, the residual of each ``target`` row against the ``draft`` row of
+    its context's suffix (or the uniform row), bit-equal to
+    :func:`residual_dist`'s, by ``setdefault`` so a built one is kept."""
+    target.residual_draft = draft
+    index = {ctx: i for i, ctx in enumerate(draft.contexts)}
+    at = [index.get(ctx[len(ctx) - draft.order + 1 :], -1) for ctx in target.contexts]  # -1: the uniform row
+    res = draft.probs[at]  # the gathered draft rows, then the residuals in place
+    res[np.asarray(at) < 0] = draft._uniform.probs
+    np.subtract(target.probs, res, out=res)
+    np.maximum(res, 0.0, out=res)
+    totals = res.sum(axis=1)
+    kept = np.flatnonzero(totals > 0.0)
+    res = res[kept]
+    res /= totals[kept, None]
+    p_rows = [*map(draft.rows.__getitem__, draft.contexts), draft._uniform]
+    for i, row in zip(kept.tolist(), ProbDist.table(res)):
+        q = target.rows[target.contexts[i]]
+        q.residuals = q.residuals or {}
+        q.residuals.setdefault(p_rows[at[i]], row)
 
 
 def draft_block(
@@ -187,6 +211,7 @@ def verify_stochastic(
     dists: Sequence[ProbDist],
     rng: RngState,
     resample_rng: RngState,
+    models: tuple[NgramLm, NgramLm] | None = None,
 ) -> BlockRecord:
     """Accept/reject ``tokens`` drafted from ``dists`` so the output follows the target exactly.
 
@@ -200,7 +225,8 @@ def verify_stochastic(
     A residual with no positive mass (``q <= p`` entrywise, so the rows
     differ only by rounding, yet ``q_j/p_j < 1``) resamples from ``q``
     itself: that rejection has rounding-level probability, so the output
-    still follows the target within ``PROB_SUM_TOL``.
+    still follows the target within ``PROB_SUM_TOL``.  Given the rows'
+    ``models``, the first rejection builds their :func:`residual_table`.
 
     Raises:
         ShapeMismatchError: unless ``len(target_dists) == len(tokens) + 1``
@@ -218,6 +244,8 @@ def verify_stochastic(
             raise DraftZeroProbError("drafted token has zero draft probability")
         # u < 1, so this is u >= min(1, q_j / p_j)
         if uniform() >= q.values[tok] / p_j:
+            if models is not None and models[0].residual_draft is not models[1]:
+                residual_table(*models)
             try:
                 res = residual_dist(q, p)
             except AllZeroError:
@@ -270,9 +298,11 @@ def spd_generate(
     substreams of ``rng``, so draft proposals depend only on the seed and
     the text-side prefix — never on image context or verification outcomes
     inside a block.  Greedy mode never reads ``rng``; it may be ``None``.
+    Verification gets the models until their :func:`residual_table` is built.
     """
     gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
-    greedy = mode == "greedy"
+    greedy, base = mode == "greedy", (target.base, draft.base)
+    models = None if greedy or base[0].residual_draft is base[1] or base[1].order > base[0].order else base
     if greedy:
         draft_rng = verify_rng = resample_rng = None
     elif rng is None:
@@ -291,7 +321,7 @@ def spd_generate(
         if greedy:
             record = verify_greedy(target_dists, tokens)
         else:
-            record = verify_stochastic(target_dists, tokens, dists, verify_rng, resample_rng)
+            record = verify_stochastic(target_dists, tokens, dists, verify_rng, resample_rng, models)
         emitted = record.emitted
         room = limit - len(out)
         if len(emitted) < room and not (stop_on_eos and eos in emitted):

@@ -44,9 +44,10 @@ from mmspec.models import (
     MultimodalTargetLm,
     PromptConditionedLm,
     TextOnlyDraftLm,
+    _corpus_ids,
+    _count_ngrams,
     load_ngram,
     save_ngram,
-    train_ngram,
 )
 
 __all__ = [
@@ -317,6 +318,8 @@ class ExperimentConfig:
             raise ValueError(f"gammas must not repeat a value, got {list(self.gammas)}")
         for gamma in self.gammas:  # each rule is checked by the type that applies it
             _spd_config(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
+            if gamma > self.max_new_tokens:  # a block drafts all gamma tokens before the length cut
+                raise ValueError(f"gamma {gamma} is more than max_new_tokens {self.max_new_tokens}")
         CostModel(self.cost_c)
         RngState(self.seed)
 
@@ -401,8 +404,9 @@ def train_models(
                 raise ValueError(f"{corpus_path}:{lineno}: {exc}") from None
     if not seqs:
         raise EmptyCorpusError(f"{corpus_path}: training corpus has no non-empty sequences")
-    target = train_ngram(seqs, target_order, target_alpha, tokenizer.vocab)
-    draft = train_ngram(seqs, draft_order, draft_alpha, tokenizer.vocab)
+    ids = _corpus_ids(seqs, tokenizer.vocab, (target_order, draft_order))  # checked and converted once
+    target = _count_ngrams(*ids, target_order, target_alpha, tokenizer.vocab)
+    draft = _count_ngrams(*ids, draft_order, draft_alpha, tokenizer.vocab)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target_path = out / "target.json"

@@ -9,6 +9,7 @@ sees text alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import Counter
@@ -79,10 +80,12 @@ class NgramLm:
     ``i`` counts the tokens that followed ``contexts[i]`` in training: at
     least one row, ``vocab.size`` columns, no negative count, and no row
     whose total passes ``2**63 - 1``, where int64 would wrap.  :attr:`rows`
-    holds the row of every such context.  It is built on first use, in one
-    numpy pass over the matrix that is validated as a whole, so loading a
-    model does no extra work.  A query is then one ``dict.get`` that falls
-    back to the one shared uniform row; unseen contexts are never stored.
+    holds the row of every such context, a view of that row of :attr:`probs`.
+    It is built on first use, in one numpy pass over the matrix that is
+    validated as a whole, so loading a model does no extra work.  A query is
+    then one ``dict.get`` that falls back to the one shared uniform row;
+    unseen contexts are never stored.  ``residual_draft`` is the draft whose
+    ``engine.residual_table`` these rows hold, if any.
     """
 
     def __init__(
@@ -121,15 +124,21 @@ class NgramLm:
         self.counts = counts
         self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
         self._rows: dict[tuple[TokenId, ...], ProbDist] | None = None
+        self.residual_draft: NgramLm | None = None
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """The smoothed row of every context seen in training, in ``contexts`` order."""
+        probs = self.counts + self.alpha
+        probs /= (self.counts.sum(axis=1) + self.alpha * self.vocab.size)[:, None]
+        return probs
 
     @property
     def rows(self) -> dict[tuple[TokenId, ...], ProbDist]:
         """Row of every context seen in training, keyed by its window; built on first use."""
         if self._rows is None:
-            probs = self.counts + self.alpha
-            probs /= (self.counts.sum(axis=1) + self.alpha * self.vocab.size)[:, None]
             # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
-            self._rows = dict(zip(self.contexts, type(self._uniform).table(probs)))
+            self._rows = dict(zip(self.contexts, type(self._uniform).table(self.probs)))
         return self._rows
 
     def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
@@ -141,23 +150,6 @@ class NgramLm:
         if len(window) < need:
             window = (BOS,) * (need - len(window)) + window
         return window
-
-    def next_dist(self, prefix: Sequence[TokenId]) -> ProbDist:
-        """Distribution over the next token after ``prefix``."""
-        return self.rows.get(self.context(prefix), self._uniform)
-
-    def score_block(self, prefix: Sequence[TokenId], block: Sequence[TokenId]) -> list[ProbDist]:
-        """Distributions at every position along ``block``, plus one more.
-
-        Returns ``len(block) + 1`` distributions: entry ``j`` conditions on
-        ``prefix + block[:j]``, so the last entry covers the position after
-        the final block token.  It stands for a single target forward pass
-        regardless of block length — that one-call accounting is what makes
-        speculative verification cheaper than token-by-token scoring.
-        """
-        window = self.context(prefix) + tuple(block)
-        need, get, uniform = self.order - 1, self.rows.get, self._uniform
-        return [get(window[j : j + need], uniform) for j in range(len(block) + 1)]
 
 
 def train_ngram(
@@ -182,34 +174,45 @@ def train_ngram(
             :data:`MAX_COUNT_CELLS` cells.
         EmptyCorpusError: if the corpus has no non-empty sequences.
     """
-    if order < 1:
-        raise TrainingError(f"order must be >= 1, got {order}")
+    return _count_ngrams(*_corpus_ids(corpus, vocab, (order,)), order, alpha, vocab)
+
+
+def _corpus_ids(corpus: Sequence[Sequence[TokenId]], vocab: Vocab, orders: tuple[int, ...]) -> tuple[np.ndarray, list]:
+    """The ids of ``corpus``'s non-empty sequences as one int64 array, and their lengths, once ``orders`` and every
+    id pass :func:`train_ngram`'s checks but its matrix bounds."""
+    if min(orders) < 1:
+        raise TrainingError(f"order must be >= 1, got {min(orders)}")
     seqs = [seq for seq in corpus if len(seq) > 0]
     if not seqs:
         raise EmptyCorpusError("training corpus has no non-empty sequences")
     lengths = [len(seq) for seq in seqs]
-    need, size, n = order - 1, vocab.size, sum(lengths)
     # as int64, numpy would count True as 1 and truncate 1.5, so the ids' types are checked first
     if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, chain.from_iterable(seqs)))):
         bad = next(t for t in chain.from_iterable(seqs) if type(t) is bool or not isinstance(t, (int, np.integer)))
         raise TrainingError(f"token id {bad!r} is not an integer")
+    try:
+        tokens = np.fromiter(chain.from_iterable(seqs), np.int64, sum(lengths))
+        inside = tokens.min() >= 0 and tokens.max() < vocab.size
+    except OverflowError:  # an id past int64
+        inside = False
+    if not inside:
+        bad = next(t for t in chain.from_iterable(seqs) if not 0 <= t < vocab.size)
+        raise TrainingError(f"token id {bad} outside vocab of size {vocab.size}")
+    return tokens, lengths
+
+
+def _count_ngrams(tokens: np.ndarray, lengths: list[int], order: int, alpha: float, vocab: Vocab) -> NgramLm:
+    """:func:`train_ngram`'s model of the ids and lengths :func:`_corpus_ids` returns for ``order``."""
+    need, size, n = order - 1, vocab.size, len(tokens)
     if n * need > MAX_COUNT_CELLS:  # before the window matrix is allocated
         raise TrainingError(
             f"{n} tokens x {need} window ids is more than the {MAX_COUNT_CELLS} cells an order-{order} model may use"
         )
-    try:
-        tokens = np.fromiter(chain.from_iterable(seqs), np.int64, n)
-        inside = tokens.min() >= 0 and tokens.max() < size
-    except OverflowError:  # an id past int64
-        inside = False
-    if not inside:
-        bad = next(t for t in chain.from_iterable(seqs) if not 0 <= t < size)
-        raise TrainingError(f"token id {bad} outside vocab of size {size}")
     if need:
         # Each sequence's tokens follow its own `need` pads in one array.  Ids are stored shifted up by one, so BOS
         # is 0, in the smallest unsigned type that holds V: for a vocabulary below 2**16 the lexsort is a radix sort.
-        at = np.arange(n) + np.repeat(np.arange(1, len(seqs) + 1) * need, lengths)
-        padded = np.zeros(n + need * len(seqs), dtype=np.min_scalar_type(size))
+        at = np.arange(n) + np.repeat(np.arange(1, len(lengths) + 1) * need, lengths)
+        padded = np.zeros(n + need * len(lengths), dtype=np.min_scalar_type(size))
         padded[at] = tokens + 1
         columns = [padded[at - back] for back in range(need, 0, -1)]  # the window matrix, one column per position
         ranked = np.lexsort(columns)  # stable: equal windows stay in corpus order

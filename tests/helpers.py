@@ -4,7 +4,15 @@ import numpy as np
 
 from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab
 from mmspec.engine import BlockRecord, BlockTrace
+from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import BOS, NgramLm, train_ngram
+
+
+def bundled_corpus():
+    """The bundled corpus as ``train_models`` trains on it, and its vocabulary."""
+    tok = CharTokenizer()
+    lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
+    return [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()], tok.vocab
 
 
 def random_vocab(rng, min_size=2, max_size=16):
@@ -41,6 +49,22 @@ def loop_train_ngram(corpus, order, alpha, vocab):
             cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
     counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
     return NgramLm(vocab, order, alpha, tuple(rows), counts)
+
+
+def flat_next_dist(model, prefix):
+    """``model``'s distribution over the next token after the flat
+    ``prefix``, keyed by :meth:`NgramLm.context`'s BOS-padded window; the
+    reference the prompt-conditioned views are checked against."""
+    return model.rows.get(model.context(prefix), model._uniform)
+
+
+def flat_score_block(model, prefix, block):
+    """``model``'s distributions at every position along ``block`` after the
+    flat ``prefix``, plus one more: entry ``j`` conditions on
+    ``prefix + block[:j]``."""
+    window = model.context(prefix) + tuple(block)
+    need = model.order - 1
+    return [model.rows.get(window[j : j + need], model._uniform) for j in range(len(block) + 1)]
 
 
 def random_prompt(rng, vocab, max_image=4, max_text=6):
@@ -83,3 +107,76 @@ def trace_from_emission_counts(counts, gamma=1):
     return BlockTrace(
         [BlockRecord((0,) * gamma, min(n - 1, gamma), (0,) * n, "bonus") for n in counts]
     )
+
+
+def accept_law(target, draft, window, gamma):
+    """``A[k]`` for k = 0..gamma: the exact probability that a block drafted
+    after the target window ``window`` has its first k tokens accepted.
+
+    ``A_0 = 1`` and ``A_k(s) = sum_x m(s, x) A_{k-1}(s + x)`` over target
+    windows ``s``, where ``s + x`` drops the window's first id and appends x,
+    and the accept mass ``m(s, x) = min(p(x | s_draft), q(x | s))`` is
+    Leviathan et al.'s beta split by token; ``s_draft`` is the last
+    ``draft.order - 1`` ids of ``s``.  Rows come from ``NgramLm.rows`` by
+    this function's own window arithmetic, not through the views: a window
+    is an integer in base V + 1, with BOS as digit 0.  An unseen target
+    window has the uniform row, so its accept mass and its successors
+    depend only on its last ``w - 1`` ids: such windows share one state per
+    ``w - 1`` ids.  Needs ``1 <= draft.order < target.order``.
+    """
+    size, w, dw = target.vocab.size, target.order - 1, draft.order - 1
+    base = size + 1
+    tail = base ** (w - 1)
+
+    def code(ids):
+        return sum((i + 1) * base**k for k, i in enumerate(reversed(ids)))
+
+    seen = np.array(sorted(map(code, target.contexts)))
+    states = np.concatenate([seen, np.arange(tail)])  # seen windows, then one state per unseen window's tail
+    successor = (states % tail)[:, None] * base + np.arange(1, size + 1)
+    at = np.searchsorted(seen, successor).clip(max=len(seen) - 1)
+    successor = np.where(seen[at] == successor, at, len(seen) + successor % tail)
+    q_rows = {code(ctx): row.probs for ctx, row in target.rows.items()}
+    q = np.vstack([[q_rows[c] for c in seen.tolist()], np.full((tail, size), 1.0 / size)])
+    p = np.full((base**dw, size), 1.0 / size)
+    for ctx, row in draft.rows.items():
+        p[code(ctx)] = row.probs
+    mass = np.minimum(p[states % base**dw], q)
+    start = code(window)
+    start = int(np.searchsorted(seen, start)) if start in q_rows else len(seen) + start % tail
+    law = [np.ones(len(states))]
+    for _ in range(gamma):
+        law.append((mass * law[-1][successor]).sum(axis=1))
+    return np.array([a[start] for a in law])
+
+
+def row_of(model, window):
+    """``model``'s row after ``window``, read from ``NgramLm.rows``: the
+    uniform row for a window never seen in training."""
+    row = model.rows.get(tuple(window))
+    return np.full(model.vocab.size, 1.0 / model.vocab.size) if row is None else row.probs
+
+
+def first_two_law(target, draft, window):
+    """Exact joint law of a gamma-1 run's first block outcome and its first
+    two tokens after the target window ``window``: ``(accepted, first)``
+    and ``(accepted, second)`` as 2 x V matrices, row 1 for an accepted
+    draft.  An accepted draft x has mass ``m(s, x)`` (see
+    :func:`accept_law`) and is followed by the bonus token from
+    ``q(. | s + x)``; a rejection emits x with the rest of ``q(x | s)``,
+    and losslessness makes the next token follow ``q(. | s + x)`` too.
+    """
+    q = row_of(target, window)
+    accepted = np.minimum(row_of(draft, window[len(window) - (draft.order - 1) :]), q)
+    first = np.stack([q - accepted, accepted])
+    after = np.array([row_of(target, window[1:] + (x,)) for x in range(target.vocab.size)])
+    return first, first @ after
+
+
+def residual_law(target, draft, window):
+    """Exact law of the token that replaces a draft rejected after the
+    target window ``window``: ``max(0, q - p)`` normalized, or ``q`` itself
+    where that has no mass."""
+    q = row_of(target, window)
+    res = np.maximum(q - row_of(draft, window[len(window) - (draft.order - 1) :]), 0.0)
+    return res / res.sum() if res.sum() > 0.0 else q

@@ -131,6 +131,27 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {cfg}: gammas must not repeat")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fields, override, reason",
+        [
+            ({"gammas": [100000000], "max_new_tokens": 2}, [], "gamma 100000000 is more than max_new_tokens 2"),
+            ({"max_new_tokens": 5}, ["--gamma", "9"], "gamma 9 is more than max_new_tokens 5"),
+        ],
+        ids=["file", "gamma-override"],
+    )
+    def test_gamma_past_token_budget_rejected_before_loading(self, tmp_path, capsys, fields, override, reason):
+        """A gamma above max_new_tokens drafts tokens no block can emit (10**8
+        of them for two tokens): one error line names it and the config file
+        before any model is opened."""
+        cfg = tmp_path / "config.json"
+        paths = {"target_model": "t.json", "draft_model": "d.json", "dataset": "x.jsonl"}
+        cfg.write_text(json.dumps({**paths, **fields}), encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *override])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         obj = json.loads((workspace / "config.json").read_text(encoding="utf-8"))

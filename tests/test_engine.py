@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import FixedUniform, assert_drawn, random_dist, random_model, random_prompt, random_vocab
+from helpers import FixedUniform, assert_drawn, bundled_corpus, random_dist, random_model, random_prompt, random_vocab
 
 from mmspec import engine
 from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize, sample
@@ -18,6 +18,7 @@ from mmspec.engine import (
     autoregressive_generate,
     draft_block,
     residual_dist,
+    residual_table,
     spd_generate,
     verify_greedy,
     verify_stochastic,
@@ -550,19 +551,26 @@ class TestWindowSizedQueries:
 
 class TestResidualReuse:
     def test_one_residual_build_per_rejected_pair(self, monkeypatch):
-        """Over a stochastic run with frequent rejections, a residual is
-        normalized once per distinct (target row, draft row) pair, not once
-        per rejection."""
-        built, rejected = [], []
+        """Over a stochastic run with frequent rejections, the first
+        rejection builds the pair's residual table.  After that no
+        (target row, draft row) pair is normalized twice, and a pair the
+        table holds is never normalized."""
+        tabled, normalized, rejected, pair = set(), Counter(), [], []
+
+        def spy_table(target, draft):
+            residual_table(target, draft)
+            tabled.update((id(q), id(p)) for q in target.rows.values() for p in q.residuals or ())
 
         def spy_normalize(raw):
-            built.append(raw)
+            normalized[pair[-1]] += 1
             return normalize(raw)
 
         def spy_residual(q, p):
             rejected.append((q, p))  # holding the rows keeps their ids unique
+            pair.append((id(q), id(p)))
             return residual_dist(q, p)
 
+        monkeypatch.setattr(engine, "residual_table", spy_table)
         monkeypatch.setattr(engine, "normalize", spy_normalize)
         monkeypatch.setattr(engine, "residual_dist", spy_residual)
         rng = np.random.default_rng(74)
@@ -573,8 +581,54 @@ class TestResidualReuse:
         out, trace = spd_generate(target, draft, prompt, cfg, RngState(8))
         assert len(out) == 128
         assert len(rejected) == sum(b.correction_kind == "residual-resample" for b in trace.blocks)
-        pairs = {(id(q), id(p)) for q, p in rejected}
-        assert len(built) == len(pairs) < len(rejected)
+        assert tabled and len(set(pair)) < len(rejected)
+        assert max(normalized.values(), default=1) == 1
+        assert not tabled & set(normalized)
+
+
+class TestResidualTable:
+    @staticmethod
+    def assert_table_is_lazy_rows(target, draft):
+        """Each target row holds exactly the residual against the draft row
+        of its context's suffix, bit-equal to the lazy build in probs, cdf
+        and argmax, or none where that residual has no mass."""
+        need = draft.order - 1
+        for ctx, q in target.rows.items():
+            p = draft.rows.get(ctx[len(ctx) - need :], draft._uniform)
+            try:
+                want = normalize(np.maximum(q.probs - p.probs, 0.0))
+            except AllZeroError:
+                assert q.residuals is None
+                continue
+            assert list(q.residuals) == [p]
+            got = q.residuals[p]
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert bytes(got.cdf) == bytes(want.cdf) and argmax(got) == argmax(want)
+
+    @pytest.mark.parametrize("orders", [(t, d) for t in (2, 3, 4) for d in range(1, t + 1)], ids=str)
+    def test_rows_equal_lazy_rows_on_bundled_corpus(self, orders):
+        seqs, vocab = bundled_corpus()
+        target, draft = (train_ngram(seqs, order, 0.1, vocab) for order in orders)
+        residual_table(target, draft)
+        assert target.residual_draft is draft
+        self.assert_table_is_lazy_rows(target, draft)
+
+    @pytest.mark.parametrize("orders", [(t, d) for t in (2, 3, 4) for d in range(2, t + 1)], ids=str)
+    def test_rows_equal_lazy_rows_on_random_models(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        for _ in range(5):
+            target, draft = make_pair(rng, random_vocab(rng), *orders)
+            residual_table(target.base, draft.base)
+            self.assert_table_is_lazy_rows(target.base, draft.base)
+
+    def test_built_residual_keeps_its_identity(self):
+        seqs, vocab = bundled_corpus()
+        target, draft = train_ngram(seqs, 3, 0.1, vocab), train_ngram(seqs, 2, 0.1, vocab)
+        ctx, q = list(target.rows.items())[5]
+        p = draft.rows[ctx[1:]]
+        built = residual_dist(q, p)  # a pair with residual mass
+        residual_table(target, draft)
+        assert q.residuals[p] is built and residual_dist(q, p) is built
 
 
 class TestBlockTrace:

@@ -9,6 +9,8 @@ from statistics import fmean
 
 import pytest
 
+from helpers import bundled_corpus
+
 from mmspec.harness import (
     CAPTION_INSTRUCTION,
     CHAT_PREAMBLE,
@@ -29,10 +31,18 @@ from mmspec.harness import (
     run_experiment,
     train_models,
 )
-from mmspec import harness
+from mmspec import engine, harness, models
 from mmspec.core import MultimodalPrompt, RngState, Vocab
 from mmspec.engine import SpdConfig
-from mmspec.models import EmptyCorpusError, MultimodalTargetLm, TextOnlyDraftLm, load_ngram, save_ngram, train_ngram
+from mmspec.models import (
+    EmptyCorpusError,
+    MultimodalTargetLm,
+    TextOnlyDraftLm,
+    TrainingError,
+    load_ngram,
+    save_ngram,
+    train_ngram,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -331,6 +341,9 @@ class TestExperimentConfig:
             self.base(cost_c=0.0)
         with pytest.raises(ValueError, match="seed"):
             self.base(seed=-1)
+        with pytest.raises(ValueError, match="gamma 9 is more than max_new_tokens 8"):
+            self.base(gammas=(3, 9), max_new_tokens=8)
+        assert self.base(gammas=(8,), max_new_tokens=8).gammas == (8,)
         wrong_types = (
             ("cost_c", "cheap"),
             ("max_new_tokens", "many"),
@@ -429,6 +442,29 @@ class TestTrainModels:
         corpus.write_text("tea\n\ncafé\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(corpus))}:3: character 'é' is not in the alphabet$"):
             train_models(corpus, tmp_path)
+
+    def test_corpus_is_checked_and_converted_once(self, model_dir, tmp_path, monkeypatch):
+        """Both models count one checked id array, and their files are the
+        bytes ``train_ngram`` writes for each order."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return models._corpus_ids(*args)
+
+        monkeypatch.setattr(harness, "_corpus_ids", spy)
+        train_models(demo_corpus_path(), tmp_path, target_order=4, draft_order=2)
+        assert len(calls) == 1 and calls[0][2] == (4, 2)
+        seqs, vocab = bundled_corpus()
+        for name, order in (("target", 4), ("draft", 2)):
+            save_ngram(train_ngram(seqs, order, 0.1, vocab), tmp_path / f"{name}-alone.json")
+            assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"{name}-alone.json").read_bytes()
+
+    @pytest.mark.parametrize("orders", [(0, 2), (3, -1)])
+    def test_rejects_order_below_one_before_training(self, tmp_path, orders):
+        with pytest.raises(TrainingError, match=f"order must be >= 1, got {min(orders)}"):
+            train_models(demo_corpus_path(), tmp_path, target_order=orders[0], draft_order=orders[1])
+        assert not list(tmp_path.iterdir())
 
     def test_rejects_corpus_of_blank_lines(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -651,6 +687,60 @@ class TestRunExperiment:
             run_experiment(replace(demo_cfg, gammas=(2,)), tmp_path)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestResidualTables:
+    """A model pair's residual table is built only where it pays: once per
+    loaded pair, on the first rejection of a stochastic run."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def spy(target, draft):
+            calls.append((target, draft))
+            return residual_table(target, draft)
+
+        residual_table = engine.residual_table
+        monkeypatch.setattr(engine, "residual_table", spy)
+        return calls
+
+    @staticmethod
+    def trained(tmp_path, target_order, draft_order):
+        train_models(demo_corpus_path(), tmp_path, target_order=target_order, draft_order=draft_order)
+        return {"target_model": str(tmp_path / "target.json"), "draft_model": str(tmp_path / "draft.json")}
+
+    def test_greedy_sweep_builds_none(self, demo_cfg, built, tmp_path):
+        run_experiment(demo_cfg, tmp_path)
+        assert built == []
+
+    def test_identity_pair_never_rejects_and_builds_none(self, demo_cfg, built, tmp_path):
+        paths = self.trained(tmp_path, 4, 4)
+        cfg = replace(demo_cfg, **paths, mode="stochastic", template="chat", gammas=(7,), max_new_tokens=64)
+        cfg = replace(cfg, stop_on_eos=False)  # eight full blocks of eight tokens
+        assert run_experiment(cfg, tmp_path / "out").aggregates[0].mean_tau == 8.0
+        assert built == []
+
+    def test_stochastic_sweep_builds_one_per_loaded_pair(self, demo_cfg, built, tmp_path):
+        cfg = replace(demo_cfg, mode="stochastic", gammas=(1, 3, 5), max_new_tokens=32)
+        for run in range(2):
+            report = run_experiment(cfg, tmp_path)
+            assert min(r.tau for r in report.runs) < 2.0  # some block rejected its first draft
+            assert len(built) == run + 1
+        assert built[0][0] is not built[1][0] and all(t.residual_draft is d for t, d in built)
+
+    @pytest.mark.parametrize("orders", [(3, 2), (2, 3)], ids=["draft-below-target", "draft-above-target"])
+    def test_table_changes_no_output(self, demo_cfg, built, tmp_path, monkeypatch, orders):
+        """A stochastic sweep writes the same reports with the table as with
+        the lazy path alone; a draft of higher order than the target builds
+        no table."""
+        cfg = replace(demo_cfg, **self.trained(tmp_path, *orders), mode="stochastic", gammas=(1, 4), max_new_tokens=32)
+        run_experiment(cfg, tmp_path / "table")
+        assert len(built) == (orders[1] <= orders[0])
+        monkeypatch.setattr(engine, "residual_table", lambda target, draft: None)
+        run_experiment(cfg, tmp_path / "lazy")
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "lazy" / name).read_bytes()
 
 
 class TestQualitativeTrace:

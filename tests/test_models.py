@@ -9,7 +9,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import loop_train_ngram, random_corpus, random_dist, random_model, random_prompt, random_vocab
+from helpers import (
+    flat_next_dist,
+    flat_score_block,
+    loop_train_ngram,
+    random_corpus,
+    random_dist,
+    random_model,
+    random_prompt,
+    random_vocab,
+)
 
 from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
 from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
@@ -35,18 +44,18 @@ class TestTrainNgram:
     def test_counted_context(self):
         """corpus [[0,1,0,1]], order 2, alpha 1: next after [0] is [0.25, 0.75]."""
         m = train_ngram([[0, 1, 0, 1]], order=2, alpha=1.0, vocab=VOCAB2)
-        np.testing.assert_allclose(m.next_dist([0]).probs, [0.25, 0.75])
+        np.testing.assert_allclose(flat_next_dist(m, [0]).probs, [0.25, 0.75])
 
     def test_unseen_context_uniform(self):
         m = train_ngram([[0, 1, 0, 1]], order=3, alpha=1.0, vocab=Vocab(size=4, eos=0))
-        np.testing.assert_allclose(m.next_dist([3, 3]).probs, np.full(4, 0.25))
+        np.testing.assert_allclose(flat_next_dist(m, [3, 3]).probs, np.full(4, 0.25))
 
     def test_bos_padding_defines_first_position(self):
         """With order 2 the empty prefix maps to the BOS context."""
         m = train_ngram([[1, 0], [1, 1]], order=2, alpha=1.0, vocab=VOCAB2)
         assert m.context(()) == (BOS,)
         # both sequences start with 1: counts [0, 2] -> (0+1)/(2+2), (2+1)/(2+2)
-        np.testing.assert_allclose(m.next_dist([]).probs, [0.25, 0.75])
+        np.testing.assert_allclose(flat_next_dist(m, []).probs, [0.25, 0.75])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -128,7 +137,7 @@ class TestTrainNgram:
 
     def test_row_total_bound_is_inclusive(self):
         m = NgramLm(Vocab(3, 0), 2, 1.0, ((0,), (1,)), np.array([[2**62, 2**62 - 1, 0], [0, 0, 2**62]]))
-        np.testing.assert_allclose(m.next_dist([0]).probs, [0.5, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(flat_next_dist(m, [0]).probs, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_dists_are_valid(self):
         """Every context row yields non-negative probabilities summing to 1."""
@@ -138,7 +147,7 @@ class TestTrainNgram:
             m = random_model(rng, vocab)
             for _ in range(10):
                 prefix = rng.integers(0, vocab.size, int(rng.integers(0, 6))).tolist()
-                d = m.next_dist(prefix)
+                d = flat_next_dist(m, prefix)
                 assert np.all(d.probs >= 0)
                 assert abs(float(d.probs.sum()) - 1.0) < 1e-9
 
@@ -209,16 +218,16 @@ class TestScoreBlock:
             steps = train_ngram(corpus, order, alpha, vocab)
             prefix = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 7))).tolist())
             block = tuple(rng.integers(0, vocab.size, int(rng.integers(0, 8))).tolist())
-            got = blocks.score_block(prefix, block)
+            got = flat_score_block(blocks, prefix, block)
             assert len(got) == len(block) + 1
             for j in range(len(block) + 1):
-                want = steps.next_dist(prefix + block[:j])
+                want = flat_next_dist(steps, prefix + block[:j])
                 np.testing.assert_array_equal(got[j].probs, want.probs)
 
     def test_empty_block_matches_next_dist(self):
         m = train_ngram([[0, 1, 0, 1]], order=2, alpha=1.0, vocab=VOCAB2)
         np.testing.assert_array_equal(
-            m.score_block((0,), ())[0].probs, m.next_dist((0,)).probs
+            flat_score_block(m, (0,), ())[0].probs, flat_next_dist(m, (0,)).probs
         )
 
 
@@ -274,8 +283,8 @@ class TestRowMemo:
     def test_unseen_context_is_the_shared_uniform_row(self):
         m = train_ngram([[0, 1, 0, 1]], order=3, alpha=1.0, vocab=Vocab(size=4, eos=0))
         view = TextOnlyDraftLm(m)
-        assert m.next_dist((3, 3)) is m._uniform
-        assert m.score_block((3,), (3,))[1] is m._uniform
+        assert flat_next_dist(m, (3, 3)) is m._uniform
+        assert flat_score_block(m, (3,), (3,))[1] is m._uniform
         assert view.next_dist(MultimodalPrompt((), (3,)), [3]) is m._uniform
         assert view.next_dist(MultimodalPrompt((), (3, 3))) is m._uniform
         assert (3, 3) not in m.rows
@@ -307,21 +316,21 @@ class TestRowMemo:
         rows = reference_rows(corpus, order, 0.7, self.VOCAB)
         uniform = np.full(self.VOCAB.size, 1.0 / self.VOCAB.size)
         for ctx, want in rows.items():
-            np.testing.assert_array_equal(m.next_dist(ctx).probs, want)
-            assert m.next_dist(ctx) is m.next_dist(ctx)
+            np.testing.assert_array_equal(flat_next_dist(m, ctx).probs, want)
+            assert flat_next_dist(m, ctx) is flat_next_dist(m, ctx)
         if order > 1:
             unseen = (self.VOCAB.size - 1,) * (order - 1)
             assert unseen not in rows
-            np.testing.assert_array_equal(m.next_dist(unseen).probs, uniform)
+            np.testing.assert_array_equal(flat_next_dist(m, unseen).probs, uniform)
         for k in range(order - 1):
             prefix = tuple(rng.integers(0, self.VOCAB.size, k).tolist())
             want = rows.get((BOS,) * (order - 1 - k) + prefix, uniform)
-            np.testing.assert_array_equal(m.next_dist(prefix).probs, want)
+            np.testing.assert_array_equal(flat_next_dist(m, prefix).probs, want)
 
     def test_rows_and_cdfs_are_read_only(self):
         rng = np.random.default_rng(80)
         m = random_model(rng, self.VOCAB, order=3)
-        dists = [m.next_dist([1, 2]), m.next_dist([5, 5, 5, 5]), *m.score_block([0], [1, 2])]
+        dists = [flat_next_dist(m, [1, 2]), flat_next_dist(m, [5, 5, 5, 5]), *flat_score_block(m, [0], [1, 2])]
         for d in dists:
             assert not d.probs.flags.writeable
             assert d.cdf.readonly
@@ -338,7 +347,7 @@ class TestRowMemo:
         mine, ref = RngState(9, 4), RngState(9, 4)
         for _ in range(2000):
             if rng.random() < 0.8:
-                d = m.next_dist(rng.integers(0, self.VOCAB.size, 2).tolist())
+                d = flat_next_dist(m, rng.integers(0, self.VOCAB.size, 2).tolist())
             else:
                 d = dists[int(rng.integers(0, len(dists)))]
             u = ref.uniform()
@@ -375,7 +384,7 @@ class TestSerialization:
             assert (m2.order, m2.alpha, m2.vocab) == (m.order, m.alpha, m.vocab)
             for _ in range(20):
                 prefix = rng.integers(0, vocab.size, int(rng.integers(0, 6))).tolist()
-                np.testing.assert_array_equal(m.next_dist(prefix).probs, m2.next_dist(prefix).probs)
+                np.testing.assert_array_equal(flat_next_dist(m, prefix).probs, flat_next_dist(m2, prefix).probs)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_resave_is_byte_identical(self, tmp_path, order):
@@ -575,12 +584,12 @@ class TestSerialization:
         p = self.write_order3(tmp_path / "model.json", [[0, 1]], [[0, 0, 1], [0, 1, 2]], alpha=1)
         m = load_ngram(p)
         assert m.alpha == 1.0 and type(m.alpha) is float
-        np.testing.assert_array_equal(m.next_dist([0, 1]).probs, [2 / 7, 3 / 7, 1 / 7, 1 / 7])
+        np.testing.assert_array_equal(flat_next_dist(m, [0, 1]).probs, [2 / 7, 3 / 7, 1 / 7, 1 / 7])
 
     def test_bos_context_loads(self, tmp_path):
         p = self.write_order3(tmp_path / "bos.json", [[BOS, 2]], [[0, 1, 3]])
         m = load_ngram(p)
-        np.testing.assert_allclose(m.next_dist([2]).probs, [1 / 7, 4 / 7, 1 / 7, 1 / 7])
+        np.testing.assert_allclose(flat_next_dist(m, [2]).probs, [1 / 7, 4 / 7, 1 / 7, 1 / 7])
 
     def test_unsorted_file_loads_the_same_model(self, tmp_path):
         """Sorting is how save_ngram writes, not a rule the loader holds files to."""
@@ -695,9 +704,10 @@ class TestPromptViews:
         base = self._image_sensitive_model()
         target = MultimodalTargetLm(base)
         prompt = MultimodalPrompt(image_ctx=(1,), text=(2,))
-        assert target.next_dist(prompt) is base.next_dist((1, 2)) is base.rows[(1, 2)]
-        assert target.next_dist(prompt, (3,)) is base.next_dist((2, 3))
-        assert target.next_dist(MultimodalPrompt(image_ctx=(), text=(0,))) is base.next_dist((0,)) is base.rows[(BOS, 0)]
+        assert target.next_dist(prompt) is flat_next_dist(base, (1, 2)) is base.rows[(1, 2)]
+        assert target.next_dist(prompt, (3,)) is flat_next_dist(base, (2, 3))
+        short = MultimodalPrompt(image_ctx=(), text=(0,))
+        assert target.next_dist(short) is flat_next_dist(base, (0,)) is base.rows[(BOS, 0)]
 
     def test_image_ctx_changes_target_dist(self):
         """Same text, different image ids: windows (0,2) vs (1,2) differ."""
@@ -731,11 +741,11 @@ class TestPromptViews:
         shorter than it."""
         base = self._image_sensitive_model()
         draft = TextOnlyDraftLm(base)
-        assert draft.next_dist(MultimodalPrompt(image_ctx=(1,), text=(2,))) is base.next_dist((2,))
+        assert draft.next_dist(MultimodalPrompt(image_ctx=(1,), text=(2,))) is flat_next_dist(base, (2,))
         prompt = MultimodalPrompt(image_ctx=(1, 1), text=(2, 3))
-        assert draft.next_dist(prompt) is base.next_dist((2, 3))
-        assert draft.next_dist(prompt, [0]) is base.next_dist((3, 0))
-        assert draft.next_dist(prompt, (0, 1, 3)) is base.next_dist((1, 3))
+        assert draft.next_dist(prompt) is flat_next_dist(base, (2, 3))
+        assert draft.next_dist(prompt, [0]) is flat_next_dist(base, (3, 0))
+        assert draft.next_dist(prompt, (0, 1, 3)) is flat_next_dist(base, (1, 3))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_window_queries_equal_full_prefix_queries(self, order):
@@ -756,9 +766,10 @@ class TestPromptViews:
             ):
                 full = head + tuple(gen)
                 for generated in (gen, tuple(gen)):
-                    np.testing.assert_array_equal(view.next_dist(prompt, generated).probs, base.next_dist(full).probs)
+                    want = flat_next_dist(base, full).probs
+                    np.testing.assert_array_equal(view.next_dist(prompt, generated).probs, want)
                     got = view.score_block(prompt, generated, block)
-                    want = base.score_block(full, block)
+                    want = flat_score_block(base, full, block)
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
                         np.testing.assert_array_equal(g.probs, w.probs)
@@ -771,7 +782,7 @@ class TestPromptViews:
         ``()``); a repeated query calls no ``NgramLm`` method and does not
         touch the table's builder."""
         calls = Counter()
-        for name in ("next_dist", "score_block", "context"):
+        for name in ("context",):
 
             def spy(*args, _name=name, _original=getattr(NgramLm, name)):
                 calls[_name] += 1
@@ -794,8 +805,8 @@ class TestPromptViews:
             ):
                 full = head + tuple(gen)
                 row, rows = view.next_dist(prompt, gen), view.score_block(prompt, gen, block)
-                assert row is base.next_dist(full)
-                want = base.score_block(full, block)
+                assert row is flat_next_dist(base, full)
+                want = flat_score_block(base, full, block)
                 assert len(rows) == len(want) == len(block) + 1
                 assert all(got is w for got, w in zip(rows, want))
                 queries.append((view, prompt, gen, block, row, rows))
