@@ -69,10 +69,5 @@ from mmspec.models import (
     save_ngram,
     train_ngram,
 )
-from mmspec.oracle import (
-    enumerate_autoregressive,
-    enumerate_spd,
-    induced_step_dist,
-)
 
 __version__ = "0.1.0"

@@ -11,10 +11,12 @@ bonus token from the target's extra distribution.  Both rules leave the
 output distributed exactly as plain autoregressive decoding from the
 target.
 
-A round builds little beyond what it returns: drafting returns a plain
-``(tokens, dists)`` pair and extends the caller's output list in place
-instead of copying it, verification reads rows as floats through
-``ProbDist.values``, and a greedy run derives no random stream at all.
+A round builds little beyond what it returns: drafting is one walk of
+the draft view (:meth:`~mmspec.models.PromptConditionedLm.walk`), which
+keys each row after the first by shifting the last key by the token just
+drawn and never touches the caller's output; the baseline is one walk of
+the target view; verification reads rows as floats through
+``ProbDist.values``; and a greedy run derives no random stream at all.
 """
 
 from __future__ import annotations
@@ -176,33 +178,19 @@ def draft_block(
     """Draft ``gamma`` tokens autoregressively: returns ``(tokens, dists)``, each token's draft row.
 
     Drafting never stops early — a draft-predicted EOS is proposed and
-    verified like any other token.  In greedy mode ``rng`` is unused.
+    verified like any other token.  The block is one :meth:`walk
+    <mmspec.models.PromptConditionedLm.walk>` of the draft view, which never
+    changes ``generated``.  In greedy mode ``rng`` is unused.
 
-    A list ``generated`` is extended in place while the draft reads it, so
-    the output is never copied, and is cut back to its length on entry
-    before this returns or raises; any other sequence is copied first.
+    Raises:
+        ValueError: for an unknown ``mode``, or stochastic mode without an ``rng``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    seq = generated if type(generated) is list else list(generated)
-    n = len(seq)
-    next_dist, append = draft.next_dist, seq.append
-    dists: list[ProbDist] = []
-    try:
-        if mode == "greedy":
-            for _ in range(gamma):
-                d = next_dist(prompt, seq)
-                append(argmax(d))
-                dists.append(d)
-        else:
-            for _ in range(gamma):
-                d = next_dist(prompt, seq)
-                append(sample(d, rng))
-                dists.append(d)
-        tokens = tuple(seq[n:])
-    finally:
-        del seq[n:]
-    return tokens, dists
+    if mode == "stochastic" and rng is None:
+        raise ValueError("stochastic mode needs an rng")
+    tokens, dists = draft.walk(prompt, generated, gamma, None if mode == "greedy" else rng)
+    return tuple(tokens), dists
 
 
 def verify_stochastic(
@@ -348,19 +336,12 @@ def autoregressive_generate(
     *,
     stop_on_eos: bool = True,
 ) -> list[TokenId]:
-    """Plain one-token-per-call decoding from the target; the baseline."""
+    """Plain one-token-per-call decoding from the target, as one walk of its view; the baseline."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-    eos = target.vocab.eos
-    out: list[TokenId] = []
-    while len(out) < max_new_tokens:
-        d = target.next_dist(prompt, out)
-        tok = argmax(d) if mode == "greedy" else sample(d, rng)
-        out.append(tok)
-        if stop_on_eos and tok == eos:
-            break
-    return out
+    stop = target.vocab.eos if stop_on_eos else None
+    return target.walk(prompt, (), max_new_tokens, None if mode == "greedy" else rng, stop)[0]

@@ -133,6 +133,16 @@ def demo_dataset_path() -> Path:
     return DATA_DIR / "demo.jsonl"
 
 
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``, or a ValueError naming it and the line of its first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # lines as str.splitlines counts them
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 # --------------------------------------------------------------------------- #
 #  Tokenization
 # --------------------------------------------------------------------------- #
@@ -247,14 +257,15 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
     """Read prompt records from a JSON-lines file.
 
     Raises:
-        ValueError: on malformed lines, fields of the wrong type (a prompt
-            id must be a non-empty string), duplicate ids, or an empty
-            dataset, with the offending line number in the message.
+        ValueError: on a byte that is not UTF-8, malformed lines, fields
+            of the wrong type (a prompt id must be a non-empty string),
+            duplicate ids, or an empty dataset, with the file and the
+            offending line number in the message.
     """
     path = Path(path)
     records: list[PromptRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -354,7 +365,7 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = json.loads(_read_utf8(path))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict):
@@ -396,7 +407,7 @@ def train_models(
     """
     tokenizer = CharTokenizer()
     seqs = []
-    for lineno, line in enumerate(Path(corpus_path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(Path(corpus_path)).splitlines(), start=1):
         if line.strip():
             try:
                 seqs.append(tokenizer.encode(line) + [tokenizer.vocab.eos])

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, TokenId, Vocab
+from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab, sample
 
 __all__ = [
     "BOS",
@@ -406,6 +406,36 @@ class PromptConditionedLm:
         n, need = len(generated), self._need
         key = tuple(generated[n - need :]) if n >= need else self._short_key(prompt, generated)
         return self._get(key, self._uniform)
+
+    def walk(
+        self,
+        prompt: MultimodalPrompt,
+        generated: Sequence[TokenId],
+        n: int,
+        rng: RngState | None = None,
+        stop: TokenId | None = None,
+    ) -> tuple[list[TokenId], list[ProbDist]]:
+        """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
+        each one's row.  A token is its row's argmax when ``rng`` is None and a :func:`sample` draw otherwise.
+        The first row is :meth:`next_dist`'s; each later key is the last one shifted by the token just drawn,
+        so ``generated`` is read once and never changed."""
+        if n < 1:
+            return [], []
+        row = self.next_dist(prompt, generated)
+        tok = row._top if rng is None else sample(row, rng)
+        tokens, rows = [tok], [row]
+        if n > 1 and tok != stop:
+            m, need, get, uniform = len(generated), self._need, self._get, self._uniform
+            key = tuple(generated[m - need :]) if m >= need else self._short_key(prompt, generated)
+            for _ in range(n - 1):
+                key = (key + (tok,))[1:]  # an order-1 model's key stays ()
+                row = get(key, uniform)
+                tok = row._top if rng is None else sample(row, rng)
+                tokens.append(tok)
+                rows.append(row)
+                if tok == stop:
+                    break
+        return tokens, rows
 
     def score_block(
         self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]

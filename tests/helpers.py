@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab
+from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab, argmax, sample
 from mmspec.engine import BlockRecord, BlockTrace
 from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import BOS, NgramLm, train_ngram
@@ -65,6 +65,21 @@ def flat_score_block(model, prefix, block):
     window = model.context(prefix) + tuple(block)
     need = model.order - 1
     return [model.rows.get(window[j : j + need], model._uniform) for j in range(len(block) + 1)]
+
+
+def loop_walk(view, prompt, generated, n, rng=None, stop=None):
+    """The reference :meth:`PromptConditionedLm.walk` is checked against:
+    one ``next_dist`` call per token on a copy of the output grown by it."""
+    seq, tokens, rows = list(generated), [], []
+    for _ in range(n):
+        row = view.next_dist(prompt, seq)
+        tok = argmax(row) if rng is None else sample(row, rng)
+        seq.append(tok)
+        tokens.append(tok)
+        rows.append(row)
+        if tok == stop:
+            break
+    return tokens, rows
 
 
 def random_prompt(rng, vocab, max_image=4, max_text=6):

@@ -2,8 +2,8 @@
 
 Everything here recomputes what the engine is supposed to do from first
 principles — analytic single-step marginals and exhaustive sums over every
-random path — without calling any engine code.  It exists for tests and the
-acceptance suite only; the engine never imports it.
+random path — without calling any engine code.  It lives with the tests and
+the acceptance suite, outside the package; the engine never uses it.
 """
 
 from __future__ import annotations

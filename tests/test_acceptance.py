@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dist, random_model, random_prompt, random_vocab, trace_from_emission_counts
+from oracle import enumerate_autoregressive, enumerate_spd, induced_step_dist
 from mmspec.cli import main
 from mmspec.core import MultimodalPrompt, RngState
 from mmspec.engine import (
@@ -32,7 +33,6 @@ from mmspec.harness import (
 )
 from mmspec.metrics import CostModel, DEFAULT_DRAFT_COST, block_efficiency, mbsu
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm
-from mmspec.oracle import enumerate_autoregressive, enumerate_spd, induced_step_dist
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

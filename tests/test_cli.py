@@ -173,6 +173,40 @@ class TestRun:
         ).read_bytes()
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 in any file the CLI reads is one error line
+    naming the file and the byte's line, before anything is written."""
+
+    @pytest.mark.parametrize("reader", ["dataset", "config", "corpus"])
+    def test_names_file_and_line(self, workspace, tmp_path, reader, capsys):
+        models = workspace / "models"
+        cfg = {
+            "target_model": str(models / "target.json"),
+            "draft_model": str(models / "draft.json"),
+            "dataset": str(demo_dataset_path()),
+        }
+        if reader == "corpus":
+            bad = b"a plain line\na caf\xff line\n"
+            path = tmp_path / "corpus.txt"
+            argv = ["train", "--corpus", str(path), "--out", str(tmp_path / "out")]
+        elif reader == "config":
+            bad = json.dumps(cfg, indent=1).encode().replace(b"draft.json", b"draft\xff.json")
+            path = tmp_path / "config.json"
+            argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        else:
+            bad = b'{"id": "a", "prompt_text": "x"}\n{"id": "b", "prompt_text": "caf\xff"}\n'
+            path = tmp_path / "dataset.jsonl"
+            cfg["dataset"] = str(path)
+            (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        path.write_bytes(bad)
+        at = bad.index(b"\xff")
+        assert main(argv) == 1
+        line = bad[:at].count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 (invalid start byte at byte {at})\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrace:
     def test_prints_annotated_generation(self, workspace, capsys):
         rc = main(["trace", "--config", str(workspace / "config.json"), "--prompt-id", "p00"])

@@ -62,6 +62,13 @@ class SpyDraft(QueryCounter, TextOnlyDraftLm):
     pass
 
 
+def record_lookups(view):
+    """Route ``view``'s row lookups through a :class:`KeyRecorder`; returns the list of keys asked."""
+    rows = view.base._rows = KeyRecorder(view.base.rows)
+    view._get = rows.get
+    return rows.asked
+
+
 def make_pair(rng, vocab, target_order=None, draft_order=None, views=(MultimodalTargetLm, TextOnlyDraftLm)):
     """Random (target, draft) views over independently trained models."""
     target = views[0](random_model(rng, vocab, order=target_order))
@@ -140,8 +147,7 @@ class TestDraftBlock:
             assert tokens[j] == argmax(dists[j])
 
     def test_callers_generated_list_unchanged(self):
-        """Drafting extends the caller's list while the draft reads it, and
-        cuts it back before returning."""
+        """Drafting reads the caller's list and never changes it."""
         rng = np.random.default_rng(63)
         vocab = random_vocab(rng, min_size=4)
         _, draft = make_pair(rng, vocab, draft_order=3)
@@ -152,26 +158,43 @@ class TestDraftBlock:
         assert tokens == draft_block(draft, prompt, (1, 3, 2), 5, RngState(3, (0,)))[0]
 
     def test_callers_generated_list_unchanged_when_draft_raises(self):
-        """A draft view that raises mid-block leaves the caller's list as it was."""
+        """A row lookup that fails mid-walk propagates, and the caller's list
+        is as it was, as it is after a block that returns."""
 
-        class FailingDraft(TextOnlyDraftLm):
-            calls = 0
+        class FailingRows(dict):
+            """Row table whose ``fail_at``-th lookup raises."""
 
-            def next_dist(self, prompt, generated=()):
+            fail_at, calls = 0, 0
+
+            def get(self, key, default=None):
                 self.calls += 1
-                if self.calls == 3:
+                if self.calls == self.fail_at:
                     raise RuntimeError("draft failed")
-                return super().next_dist(prompt, generated)
+                return super().get(key, default)
 
         rng = np.random.default_rng(63)
         vocab = random_vocab(rng, min_size=4)
-        draft = FailingDraft(random_model(rng, vocab, order=3))
+        base = random_model(rng, vocab, order=3)
+        rows = base._rows = FailingRows(base.rows)
+        draft = TextOnlyDraftLm(base)
+        prompt = random_prompt(rng, vocab)
         generated = [1, 3, 2]
         for mode in ("stochastic", "greedy"):
-            draft.calls = 0
+            rows.fail_at, rows.calls = 0, 0
+            tokens, _ = draft_block(draft, prompt, generated, 5, RngState(3, (0,)), mode)
+            assert generated == [1, 3, 2] and len(tokens) == 5 and rows.calls == 5
+            rows.fail_at, rows.calls = 3, 0  # the first row is next_dist's, the third is the walk's second
             with pytest.raises(RuntimeError, match="draft failed"):
-                draft_block(draft, random_prompt(rng, vocab), generated, 5, RngState(3, (0,)), mode)
-            assert generated == [1, 3, 2] and draft.calls == 3
+                draft_block(draft, prompt, generated, 5, RngState(3, (0,)), mode)
+            assert generated == [1, 3, 2] and rows.calls == 3
+
+    def test_stochastic_mode_needs_rng(self):
+        """Stochastic drafting without a stream is an error, not a greedy block."""
+        rng = np.random.default_rng(64)
+        vocab = random_vocab(rng)
+        _, draft = make_pair(rng, vocab)
+        with pytest.raises(ValueError, match="stochastic mode needs an rng"):
+            draft_block(draft, random_prompt(rng, vocab), [], 3, None)
 
     def test_draft_eos_does_not_stop_drafting(self):
         """A draft that loves EOS still proposes a full block."""
@@ -358,18 +381,22 @@ class TestSpdGenerate:
 
     def test_trace_accounting(self):
         """The trace's derived counts equal the model queries actually made:
-        one target score_block and gamma draft next_dist calls per block."""
+        per block, one target score_block, and one draft walk, whose first
+        row is a next_dist call and whose gamma - 1 others are row lookups."""
         rng = np.random.default_rng(65)
         for trial in range(25):
             vocab = random_vocab(rng)
             target, draft = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
+            lookups = record_lookups(draft)
             prompt = random_prompt(rng, vocab)
             gamma = int(rng.integers(1, 5))
             mode = "greedy" if trial % 2 else "stochastic"
             cfg = SpdConfig(gamma=gamma, mode=mode, max_new_tokens=32)
             out, trace = spd_generate(target, draft, prompt, cfg, RngState(trial))
             assert target.queries == Counter(score_block=trace.target_calls)
-            assert draft.queries == Counter(next_dist=trace.draft_calls)
+            assert draft.queries == Counter(next_dist=trace.target_calls)
+            walk_lookups = len(lookups) - trace.target_calls  # each next_dist call makes one lookup of its own
+            assert walk_lookups == trace.draft_calls - trace.target_calls
             assert trace.draft_calls == gamma * trace.target_calls
             assert trace.total_emitted == len(out)
             for b in trace.blocks:
@@ -506,14 +533,22 @@ class TestSpdGenerate:
 
 
 class TestAutoregressive:
-    def test_one_call_per_token(self):
+    def test_one_next_dist_then_one_lookup_per_token(self):
+        """The baseline is one walk: one next_dist call for the first token,
+        then one row lookup for each further token, greedy or stochastic, with
+        or without the EOS stop."""
         rng = np.random.default_rng(71)
-        vocab = random_vocab(rng)
-        target, _ = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
-        prompt = random_prompt(rng, vocab)
-        out = autoregressive_generate(target, prompt, 16, "greedy", stop_on_eos=False)
-        assert len(out) == 16
-        assert target.queries == Counter(next_dist=len(out))
+        for trial in range(8):
+            vocab = random_vocab(rng)
+            target, _ = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
+            lookups = record_lookups(target)
+            prompt = random_prompt(rng, vocab)
+            mode, stop_on_eos = ("greedy", "stochastic")[trial % 2], trial % 4 < 2
+            out = autoregressive_generate(target, prompt, 16, mode, RngState(trial), stop_on_eos=stop_on_eos)
+            assert len(out) == 16 or (stop_on_eos and out[-1] == vocab.eos)
+            assert target.queries == Counter(next_dist=1)
+            walk_lookups = len(lookups) - 1  # the first lookup is next_dist's own
+            assert walk_lookups == len(out) - 1
 
     def test_stochastic_requires_rng(self):
         rng = np.random.default_rng(72)

@@ -3,10 +3,12 @@
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import fmean
 
+import numpy as np
 import pytest
 
 from helpers import bundled_corpus
@@ -237,6 +239,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=":2:"):
             load_dataset(path)
 
+    def test_not_utf8_names_the_line_the_reader_counts(self, tmp_path):
+        """The line of a bad byte is counted as the records are, so a bare
+        carriage return ends a line too."""
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "a", "prompt_text": "x"}\r\n\r{"id": "b", "prompt_text": "caf\xe9"}\n')
+        with pytest.raises(ValueError, match=rf"latin1\.jsonl:3: not UTF-8 \(invalid continuation byte at byte 65\)"):
+            load_dataset(path)
+
     def test_missing_id(self, tmp_path):
         path = tmp_path / "noid.jsonl"
         path.write_text('{"prompt_text": "x"}\n', encoding="utf-8")
@@ -310,6 +320,53 @@ class TestLoadDataset:
         path.write_text('{"id": "a", "prompt_text": "x", "tokens": [1]}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             load_dataset(path)
+
+
+class TestDatasetFuzz:
+    """Seeded byte flips, truncations, and duplicated and deleted spans of the
+    bundled dataset: each mutated file either runs, with a report row for
+    every record the file states, or raises a ValueError naming the file.
+    Any other exception fails the test."""
+
+    @staticmethod
+    def mutate(rng, data):
+        at = int(rng.integers(len(data)))
+        end = min(len(data), at + int(rng.integers(1, 40)))
+        kind = ("flip", "truncate", "duplicate", "delete")[int(rng.integers(4))]
+        if kind == "flip":
+            return data[:at] + bytes([int(rng.integers(256))]) + data[at + 1 :]
+        if kind == "truncate":
+            return data[:at]
+        if kind == "duplicate":
+            return data[:end] + data[at:end] + data[end:]
+        return data[:at] + data[end:]
+
+    def test_mutations_run_or_name_the_file(self, model_dir, tmp_path):
+        data = demo_dataset_path().read_bytes()
+        path = tmp_path / "mutated.jsonl"
+        cfg = ExperimentConfig(
+            target_model=str(model_dir / "target.json"),
+            draft_model=str(model_dir / "draft.json"),
+            dataset=str(path),
+            gammas=(1,),
+            max_new_tokens=2,
+            template="plain",
+        )
+        rng = np.random.default_rng(80)
+        outcomes = Counter()
+        for _ in range(240):
+            mutated = self.mutate(rng, data)
+            path.write_bytes(mutated)
+            try:
+                report = run_experiment(cfg, tmp_path / "out")
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                outcomes["not UTF-8" if "not UTF-8" in str(exc) else "rejected"] += 1
+                continue
+            stated = [json.loads(line)["id"] for line in mutated.decode("utf-8").splitlines() if line.strip()]
+            assert sorted(r.prompt_id for r in report.runs) == sorted(stated)
+            outcomes["ran"] += 1
+        assert set(outcomes) == {"ran", "rejected", "not UTF-8"}, outcomes
 
 
 class TestExperimentConfig:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_drawn,
     flat_next_dist,
     flat_score_block,
     loop_train_ngram,
+    loop_walk,
     random_corpus,
     random_dist,
     random_model,
@@ -817,3 +819,36 @@ class TestPromptViews:
             again = view.score_block(prompt, gen, block)
             assert len(again) == len(rows) and all(got is w for got, w in zip(again, rows))
         assert not calls
+
+
+class TestWalk:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_equals_one_next_dist_per_token(self, order):
+        """A walk returns the tokens and the very row objects of the reference
+        loop, one ``next_dist`` per token, and its stream ends where the
+        reference's does: for the target and draft views, outputs shorter and
+        longer than the window (order 1's is empty), greedy and stochastic,
+        with and without an EOS stop, and n = 0.  The output it continues,
+        a list or a tuple, is left as it was."""
+        rng = np.random.default_rng(500 + order)
+        vocab = Vocab(size=4, eos=0)
+        base = random_model(rng, vocab, order=order, n_seqs=8)  # sparse: some windows are unseen
+        seen = Counter()
+        for trial in range(120):
+            prompt = random_prompt(rng, vocab, max_image=4, max_text=order)
+            gen = rng.integers(0, vocab.size, int(rng.integers(0, order + 2))).tolist()
+            n = trial % 4 if trial < 8 else int(rng.integers(0, 3 * order + 4))
+            for view in (MultimodalTargetLm(base), TextOnlyDraftLm(base)):
+                for stop in (None, vocab.eos):
+                    for seed in (None, trial):
+                        generated = list(gen) if trial % 2 else tuple(gen)
+                        walk_rng, loop_rng = (None, None) if seed is None else (RngState(seed), RngState(seed))
+                        tokens, rows = view.walk(prompt, generated, n, walk_rng, stop)
+                        want_tokens, want_rows = loop_walk(view, prompt, gen, n, loop_rng, stop)
+                        assert list(generated) == gen
+                        assert tokens == want_tokens
+                        assert len(rows) == len(want_rows) and all(a is b for a, b in zip(rows, want_rows))
+                        if seed is not None:
+                            assert_drawn(walk_rng, len(tokens))
+                        seen["n = 0" if n == 0 else "stopped" if len(tokens) < n else "ran to n"] += 1
+        assert len(seen) == 3, seen

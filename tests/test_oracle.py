@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_dist, random_model, random_prompt
+from oracle import TooLargeError, enumerate_autoregressive, enumerate_spd, induced_step_dist
 
 from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab
 from mmspec.engine import SpdConfig, spd_generate
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
-from mmspec.oracle import (
-    TooLargeError,
-    enumerate_autoregressive,
-    enumerate_spd,
-    induced_step_dist,
-)
 
 
 def tiny_pair(rng, vocab_size=3, target_order=2, draft_order=1):
