@@ -133,14 +133,15 @@ def demo_dataset_path() -> Path:
     return DATA_DIR / "demo.jsonl"
 
 
-def _read_utf8(path: Path) -> str:
-    """The text of ``path``, or a ValueError naming it and the line of its first byte that is not UTF-8."""
+def _read_utf8(path: Path, *, name_line: bool = True) -> str:
+    """The text of ``path``, or a ValueError naming it, the offset of its first byte that is not UTF-8 and,
+    with ``name_line``, that byte's line as ``str.splitlines`` counts lines (the line-based readers' count)."""
     data = path.read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())  # lines as str.splitlines counts them
-        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        line = f":{len((data[: exc.start].decode('utf-8') + 'x').splitlines())}" if name_line else ""
+        raise ValueError(f"{path}{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 # --------------------------------------------------------------------------- #
@@ -365,7 +366,7 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         try:
-            obj = json.loads(_read_utf8(path))
+            obj = json.loads(_read_utf8(path, name_line=False))  # json counts lines otherwise
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict):

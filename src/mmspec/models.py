@@ -417,8 +417,8 @@ class PromptConditionedLm:
     ) -> tuple[list[TokenId], list[ProbDist]]:
         """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
         each one's row.  A token is its row's argmax when ``rng`` is None and a :func:`sample` draw otherwise.
-        The first row is :meth:`next_dist`'s; each later key is the last one shifted by the token just drawn,
-        so ``generated`` is read once and never changed."""
+        The first row is :meth:`next_dist`'s, which perfbench patches, so its key is built again for the rest;
+        each later key is the last one shifted by the token just drawn, and ``generated`` is never changed."""
         if n < 1:
             return [], []
         row = self.next_dist(prompt, generated)

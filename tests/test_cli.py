@@ -175,7 +175,8 @@ class TestRun:
 
 class TestNotUtf8:
     """A byte that is not UTF-8 in any file the CLI reads is one error line
-    naming the file and the byte's line, before anything is written."""
+    naming the file and the byte's offset, and for the line-based dataset
+    and corpus the byte's line, before anything is written."""
 
     @pytest.mark.parametrize("reader", ["dataset", "config", "corpus"])
     def test_names_file_and_line(self, workspace, tmp_path, reader, capsys):
@@ -202,8 +203,9 @@ class TestNotUtf8:
         path.write_bytes(bad)
         at = bad.index(b"\xff")
         assert main(argv) == 1
-        line = bad[:at].count(b"\n") + 1
-        assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 (invalid start byte at byte {at})\n"
+        newlines = bad[:at].count(b"\n")
+        line = "" if reader == "config" else f":{newlines + 1}"
+        assert capsys.readouterr().err == f"error: {path}{line}: not UTF-8 (invalid start byte at byte {at})\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the wall-clock benchmark.
 
-Runs ``perfbench/run.py --trace 0`` from two checkouts in turn, N pairs,
-alternating which side runs first, and prints, per end-to-end metric, each
-side's median and quartiles, the change of the medians, and in how many
-pairs the change read better:
+Runs ``perfbench/run.py --trace 0``, at the benchmark's own run length,
+from two checkouts in turn, N pairs, alternating which side runs first, and
+prints, per end-to-end metric, each side's median and quartiles, the change
+of the medians, and in how many pairs the change read better:
 
     python3 tools/pairs.py --parent ../parent --change . --workload chat-stoch-sweep --pairs 10
 
@@ -24,13 +24,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 900  # a run is 35 s per workload plus setup; ``--workload all`` is three of them
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One ``--trace 0`` run in ``checkout``: the JSON object of its last output line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, timeout=4 * seconds + 300, check=False)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {checkout}: benchmark exited with code {proc.returncode}")
@@ -71,7 +71,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -80,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            result = run_once(checkouts[side], args.workload, args.seed)
             runs[side].append(result)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             print(f"pair {i + 1} {side}: failed {result['failed']} of {result['attempted']} {json.dumps(values)}",
