@@ -56,7 +56,6 @@ from mmspec.metrics import (
     block_efficiency,
     mbsu,
     mbsu_c_scaled,
-    token_rate_ratio,
 )
 from mmspec.models import (
     EmptyCorpusError,

@@ -55,6 +55,7 @@ __all__ = [
     "CharTokenizer",
     "DEFAULT_ALPHABET",
     "ExperimentConfig",
+    "MAX_NEW_TOKENS",
     "MissingFieldError",
     "PromptRecord",
     "TEMPLATES",
@@ -93,21 +94,15 @@ CHAT_PREAMBLE = (
 CAPTION_INSTRUCTION = "Provide a detailed description of the given image"
 
 # Each report column prints the PromptRun field of the same name.
-CSV_COLUMNS = (
-    "prompt_id",
-    "gamma",
-    "mode",
-    "tokens",
-    "target_calls",
-    "tau",
-    "mbsu",
-    "mbsu_c_scaled",
-    "wall_time_s",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(PromptRun))
 
 # Config fields that name files: required, resolved against the config's
 # directory, and echoed in reports by file name only.
 _PATH_FIELDS = ("target_model", "draft_model", "dataset")
+
+# Largest max_new_tokens a config may ask for: every decoding step keeps a
+# token and a row, so an unbounded value runs until memory runs out.
+MAX_NEW_TOKENS = 2**16
 
 # Top-level stream ids: the baseline stream ignores gamma on purpose, so the
 # baseline output for a prompt is the same whichever gamma is being measured.
@@ -332,6 +327,8 @@ class ExperimentConfig:
             _spd_config(gamma, self.mode, self.max_new_tokens, self.stop_on_eos)
             if gamma > self.max_new_tokens:  # a block drafts all gamma tokens before the length cut
                 raise ValueError(f"gamma {gamma} is more than max_new_tokens {self.max_new_tokens}")
+        if self.max_new_tokens > MAX_NEW_TOKENS:
+            raise ValueError(f"max_new_tokens {self.max_new_tokens} is more than {MAX_NEW_TOKENS}")
         CostModel(self.cost_c)
         RngState(self.seed)
 
@@ -353,6 +350,8 @@ class ExperimentConfig:
             kind = kinds[name]
             if type(value) not in JSON_TYPES[kind] or (type(value) is list and any(type(v) is not int for v in value)):
                 raise TypeError(f"config field {name} must be {kind}, got {value!r}")
+            if name in _PATH_FIELDS and not value:  # "" would resolve to the config's directory
+                raise ValueError(f"config field {name} must name a file, got ''")
         cfg = cls(**obj)
         if base_dir is not None:
             base = Path(base_dir)
@@ -444,10 +443,18 @@ class _RunContext:
     prompts: list[MultimodalPrompt]
 
 
+def _open(name: str, path: str, load):
+    """``load(path)``; an OSError, such as a missing file, also names the config field ``name``."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise type(exc)(f"{name} {path}: {exc.strerror or exc}") from exc
+
+
 def _load_context(cfg: ExperimentConfig) -> _RunContext:
     tokenizer = CharTokenizer()
-    target_base = load_ngram(cfg.target_model)
-    draft_base = load_ngram(cfg.draft_model)
+    target_base = _open("target_model", cfg.target_model, load_ngram)
+    draft_base = _open("draft_model", cfg.draft_model, load_ngram)
     for name, path, model in (("target", cfg.target_model, target_base), ("draft", cfg.draft_model, draft_base)):
         if model.vocab != tokenizer.vocab:
             raise ValueError(
@@ -457,7 +464,7 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
     draft: PromptConditionedLm = (
         MultimodalTargetLm(draft_base) if cfg.draft_uses_image else TextOnlyDraftLm(draft_base)
     )
-    records = load_dataset(cfg.dataset)
+    records = _open("dataset", cfg.dataset, load_dataset)
     prompts = []
     for rec in records:
         for kind, ids in (("image", rec.image_ctx), ("prompt", rec.tokens or ())):
@@ -496,7 +503,9 @@ def generate_for_prompt(
 
     Returns ``(baseline_tokens, spd_tokens, spd_trace)``.  The baseline
     stream is independent of gamma, so the baseline output for a prompt is
-    identical across the gamma sweep.
+    identical across the gamma sweep.  No report byte reads the baseline;
+    it is returned for callers that time it or check greedy identity
+    against it, such as perfbench.
     """
     greedy = cfg.mode == "greedy"  # greedy decoding draws nothing, so it gets no stream
     baseline_rng = None if greedy else RngState(cfg.seed, (_STREAM_BASELINE, prompt_index))
@@ -509,16 +518,13 @@ def generate_for_prompt(
     return baseline, spd, trace
 
 
-def _modeled_seconds(target_calls: int, draft_calls: int, c: float) -> float:
-    """Report-time model: one target pass is 1 s, one draft pass is c s."""
-    return float(target_calls) + c * float(draft_calls)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
     """Run the full benchmark and write ``report.csv`` / ``report.json``.
 
     For each gamma, every prompt gets an autoregressive baseline and a
-    speculative run from matched seeds.  Rows are sorted by
+    speculative run from matched seeds; the reports read only the
+    speculative run, as the modeled baseline always emits one token per
+    second.  Rows are sorted by
     (prompt_id, gamma); identical configs produce byte-identical reports.
     Partially written outputs are removed on failure.
     """
@@ -527,7 +533,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
     runs: list[PromptRun] = []
     for gamma in cfg.gammas:
         for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):
-            baseline, spd, trace = generate_for_prompt(
+            _, spd, trace = generate_for_prompt(
                 ctx.target, ctx.draft, prompt, cfg, gamma=gamma, prompt_index=idx
             )
             tau = block_efficiency(trace)
@@ -541,9 +547,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
                     tau=tau,
                     mbsu=mbsu(tau, gamma, cost),
                     mbsu_c_scaled=mbsu_c_scaled(tau, gamma, cost),
-                    wall_time_s=_modeled_seconds(trace.target_calls, trace.draft_calls, cost.c),
-                    baseline_tokens=len(baseline),
-                    baseline_time_s=_modeled_seconds(len(baseline), 0, cost.c),
+                    # modeled clock: one target pass is 1 s, one draft pass is c s
+                    wall_time_s=float(trace.target_calls) + cost.c * float(trace.draft_calls),
                 )
             )
     runs.sort(key=lambda r: (r.prompt_id, r.gamma))

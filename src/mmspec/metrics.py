@@ -23,12 +23,10 @@ __all__ = [
     "GammaAggregate",
     "PromptRun",
     "RunReport",
-    "ZeroTimeError",
     "aggregate",
     "block_efficiency",
     "mbsu",
     "mbsu_c_scaled",
-    "token_rate_ratio",
 ]
 
 # Default relative draft cost: a draft roughly 60x smaller than its target
@@ -38,10 +36,6 @@ DEFAULT_DRAFT_COST = 115.0 / 7000.0
 
 class EmptyTraceError(ValueError):
     """Raised when block efficiency is asked of a trace with no target calls."""
-
-
-class ZeroTimeError(ValueError):
-    """Raised when a token rate is computed over a non-positive duration."""
 
 
 @dataclass(frozen=True)
@@ -90,24 +84,6 @@ def mbsu_c_scaled(tau: float, gamma: int, cost: CostModel) -> float:
     return cost.c * mbsu(tau, gamma, cost)
 
 
-def token_rate_ratio(
-    spd_tokens: int,
-    spd_time: float,
-    ar_tokens: int,
-    ar_time: float,
-) -> float:
-    """Speculative tokens/second divided by baseline tokens/second.
-
-    Raises:
-        ZeroTimeError: if either duration is not positive.
-    """
-    if spd_time <= 0.0 or ar_time <= 0.0:
-        raise ZeroTimeError(f"durations must be positive, got {spd_time} and {ar_time}")
-    if spd_tokens < 1 or ar_tokens < 1:
-        raise ValueError("token counts must be >= 1")
-    return (spd_tokens / spd_time) / (ar_tokens / ar_time)
-
-
 # --------------------------------------------------------------------------- #
 #  Per-run records and aggregation
 # --------------------------------------------------------------------------- #
@@ -115,7 +91,7 @@ def token_rate_ratio(
 
 @dataclass(frozen=True)
 class PromptRun:
-    """Metrics for one prompt at one gamma, with its matched baseline."""
+    """Metrics for one prompt's speculative run at one gamma."""
 
     prompt_id: str
     gamma: int
@@ -126,13 +102,12 @@ class PromptRun:
     mbsu: float
     mbsu_c_scaled: float
     wall_time_s: float
-    baseline_tokens: int
-    baseline_time_s: float
 
 
 @dataclass(frozen=True)
 class GammaAggregate:
-    """Unweighted per-prompt means plus a pooled token-rate ratio."""
+    """Unweighted per-prompt means plus a pooled token-rate ratio: SPD tokens
+    per modeled second, as the modeled baseline emits one token per second."""
 
     gamma: int
     mean_tau: float
@@ -161,15 +136,9 @@ def aggregate(runs: Sequence[PromptRun]) -> GammaAggregate:
     gammas = {r.gamma for r in runs}
     if len(gammas) != 1:
         raise ValueError(f"aggregate expects a single gamma, got {sorted(gammas)}")
-    rate = token_rate_ratio(
-        sum(r.tokens for r in runs),
-        sum(r.wall_time_s for r in runs),
-        sum(r.baseline_tokens for r in runs),
-        sum(r.baseline_time_s for r in runs),
-    )
     return GammaAggregate(
         gamma=gammas.pop(),
         mean_tau=fmean(r.tau for r in runs),
         mean_mbsu=fmean(r.mbsu for r in runs),
-        token_rate_ratio=rate,
+        token_rate_ratio=sum(r.tokens for r in runs) / sum(r.wall_time_s for r in runs),
     )

@@ -4,7 +4,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from statistics import fmean
 
@@ -36,6 +36,7 @@ from mmspec.harness import (
 from mmspec import engine, harness, models
 from mmspec.core import MultimodalPrompt, RngState, Vocab
 from mmspec.engine import SpdConfig
+from mmspec.metrics import PromptRun
 from mmspec.models import (
     EmptyCorpusError,
     MultimodalTargetLm,
@@ -434,6 +435,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="missing required"):
             ExperimentConfig.from_dict({"target_model": "t"})
 
+    def test_max_new_tokens_bounded(self, tmp_path):
+        """A huge max_new_tokens with the EOS stop off would grow a run until
+        memory runs out: the file, a dict and ``replace`` all reject it."""
+        bound = harness.MAX_NEW_TOKENS
+        assert self.base(gammas=(1,), max_new_tokens=bound).max_new_tokens == bound
+        paths = {"target_model": "t", "draft_model": "d", "dataset": "x"}
+        for value in (bound + 1, 10**9, 10**30):
+            reason = f"max_new_tokens {value} is more than {bound}"
+            with pytest.raises(ValueError, match=reason):
+                ExperimentConfig.from_dict({**paths, "max_new_tokens": value, "stop_on_eos": False})
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**paths, "max_new_tokens": value}), encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+                ExperimentConfig.from_file(path)
+            with pytest.raises(ValueError, match=reason):
+                replace(self.base(), max_new_tokens=value)
+
+    @pytest.mark.parametrize("field", ["target_model", "draft_model", "dataset"])
+    def test_empty_path_rejected(self, tmp_path, field):
+        """An empty path would resolve to the config's directory."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target_model": "t", "draft_model": "d", "dataset": "x", field: ""}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: config field {field} must name a file, got ''")):
+            ExperimentConfig.from_file(path)
+
     def test_relative_paths_resolve_against_base_dir(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"target_model": "t.json", "draft_model": "/abs/d.json", "dataset": "data/x.jsonl"},
@@ -600,6 +626,18 @@ class TestRunExperiment:
         for agg in report.aggregates:
             taus = [r.tau for r in report.runs if r.gamma == agg.gamma]
             assert agg.mean_tau == pytest.approx(fmean(taus), abs=1e-12)
+
+    def test_csv_columns_are_prompt_run_fields(self):
+        assert CSV_COLUMNS == tuple(f.name for f in fields(PromptRun))
+
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_token_rate_ratio_is_spd_tokens_per_modeled_second(self, demo_cfg, tmp_path, mode):
+        """The modeled baseline emits one token per second, so the pooled
+        ratio is the SPD rows' tokens over their modeled seconds, exactly."""
+        report = run_experiment(replace(demo_cfg, mode=mode), tmp_path)
+        for agg in report.aggregates:
+            runs = [r for r in report.runs if r.gamma == agg.gamma]
+            assert agg.token_rate_ratio == sum(r.tokens for r in runs) / sum(r.wall_time_s for r in runs)
 
     def test_byte_identical_reruns(self, demo_cfg, tmp_path):
         run_experiment(demo_cfg, tmp_path / "a")

@@ -10,16 +10,14 @@ from mmspec.metrics import (
     DEFAULT_DRAFT_COST,
     EmptyTraceError,
     PromptRun,
-    ZeroTimeError,
     aggregate,
     block_efficiency,
     mbsu,
     mbsu_c_scaled,
-    token_rate_ratio,
 )
 
 
-def make_run(pid="p0", gamma=3, tau=2.0, tokens=20, calls=10, wall=5.0, b_tokens=20, b_time=20.0):
+def make_run(pid="p0", gamma=3, tau=2.0, tokens=20, calls=10, wall=5.0):
     cost = CostModel()
     return PromptRun(
         prompt_id=pid,
@@ -31,8 +29,6 @@ def make_run(pid="p0", gamma=3, tau=2.0, tokens=20, calls=10, wall=5.0, b_tokens
         mbsu=mbsu(tau, gamma, cost),
         mbsu_c_scaled=mbsu_c_scaled(tau, gamma, cost),
         wall_time_s=wall,
-        baseline_tokens=b_tokens,
-        baseline_time_s=b_time,
     )
 
 
@@ -81,32 +77,16 @@ class TestMbsu:
             mbsu(2.0, 0, CostModel())
 
 
-class TestTokenRateRatio:
-    def test_plain_ratio(self):
-        # 100 tokens in 2s vs 100 tokens in 10s -> 5x
-        assert token_rate_ratio(100, 2.0, 100, 10.0) == pytest.approx(5.0)
-
-    def test_zero_time(self):
-        with pytest.raises(ZeroTimeError):
-            token_rate_ratio(10, 0.0, 10, 1.0)
-        with pytest.raises(ZeroTimeError):
-            token_rate_ratio(10, 1.0, 10, -1.0)
-
-    def test_zero_tokens(self):
-        with pytest.raises(ValueError):
-            token_rate_ratio(0, 1.0, 10, 1.0)
-
-
 class TestAggregate:
     def test_means_and_pooled_rate(self):
         runs = [
-            make_run(pid="a", tau=2.0, tokens=20, wall=5.0, b_tokens=20, b_time=20.0),
-            make_run(pid="b", tau=3.0, tokens=30, wall=5.0, b_tokens=20, b_time=20.0),
+            make_run(pid="a", tau=2.0, tokens=20, wall=5.0),
+            make_run(pid="b", tau=3.0, tokens=30, wall=5.0),
         ]
         agg = aggregate(runs)
         assert agg.mean_tau == pytest.approx(2.5)
         assert agg.mean_mbsu == pytest.approx((runs[0].mbsu + runs[1].mbsu) / 2)
-        # pooled: (50 / 10) / (40 / 40) = 5.0, not the mean of per-prompt ratios
+        # pooled: 50 tokens / 10 s = 5.0, not the mean of per-prompt ratios (4.0 and 6.0)
         assert agg.token_rate_ratio == pytest.approx(5.0)
 
     def test_means_bounded_by_extremes(self):

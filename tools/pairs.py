@@ -8,10 +8,10 @@ of the medians, and in how many pairs the change read better:
 
     python3 tools/pairs.py --parent ../parent --change . --workload chat-stoch-sweep --pairs 10
 
-Each run's result line is printed as it finishes.  The direction of each
-metric comes from the change checkout's ``BENCHMARK.json``.  Standard
-library only; it reads nothing from and writes nothing to either
-checkout's ``perfbench/``.
+Each run's result line is printed as it finishes; ``--workload all`` prints
+one table per workload.  The direction of each metric comes from the change
+checkout's ``BENCHMARK.json``.  Standard library only; it reads nothing from
+and writes nothing to either checkout's ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ RUN_TIMEOUT_S = 900  # a run is 35 s per workload plus setup; ``--workload all``
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One ``--trace 0`` run in ``checkout``: the JSON object of its last output line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S, check=False)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S, check=False)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"error: {checkout}: benchmark ran past {RUN_TIMEOUT_S} s") from None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {checkout}: benchmark exited with code {proc.returncode}")
@@ -45,12 +48,13 @@ def fmt(value: float, unit: str) -> str:
     return f"{value:.3f}" if unit == "tok/call" else f"{value:.2f}"
 
 
-def table(runs: dict[str, list[dict]], better: dict[str, str], workload: str, seed: int) -> list[str]:
-    """The markdown rows of one workload: a metric per row."""
+def table(runs: dict[str, list[dict]], better: dict[str, str], workload: str, seed: int, prefix: str = "") -> list[str]:
+    """The markdown rows of one workload, a metric per row; ``prefix`` is the
+    one ``--workload all`` puts before each of that workload's metric names."""
     rows = []
     for name, direction in better.items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        unit = runs["change"][0]["metrics"][name]["unit"]
+        values = {side: [r["metrics"][prefix + name]["value"] for r in runs[side]] for side in SIDES}
+        unit = runs["change"][0]["metrics"][prefix + name]["unit"]
         cells = []
         for side in SIDES:
             v = values[side]
@@ -73,6 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -85,9 +91,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1} {side}: failed {result['failed']} of {result['attempted']} {json.dumps(values)}",
                   flush=True)
     print("failed:", ", ".join(f"{side} {sum(r['failed'] for r in runs[side])}" for side in SIDES))
-    print("| workload | seed | metric | parent median [q1, q3] | change median [q1, q3] | change | change better in |")
-    print("|---|---|---|---|---|---|---|")
-    print("\n".join(table(runs, better, args.workload, args.seed)))
+    tables = {args.workload: ""}
+    if args.workload == "all":  # each metric is named "<workload>.<metric>"
+        tables = {name.split(".")[0]: name.split(".")[0] + "." for name in runs["change"][0]["metrics"]}
+    for workload, prefix in tables.items():
+        print()
+        print("| workload | seed | metric | parent median [q1, q3] | change median [q1, q3] | change | change better in |")
+        print("|---|---|---|---|---|---|---|")
+        print("\n".join(table(runs, better, workload, args.seed, prefix)))
     return 0
 
 
