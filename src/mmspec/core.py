@@ -8,7 +8,7 @@ counter-based random stream whose draws are reproducible from
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,9 +63,9 @@ class ProbDist:
     and then frozen, so instances can be shared without defensive copies.
     :meth:`table` builds one instance per row of a matrix, checking the
     matrix once.  A row is complete when it is built: ``cdf`` holds the
-    cumulative sums :func:`sample` bisects, ``values`` the entries the
-    stochastic verifier reads, and ``_top`` the index :func:`argmax`
-    returns.  ``cdf`` and ``values`` are read-only ``memoryview`` objects,
+    cumulative sums :func:`sample` bisects, set to 1.0 from the last
+    positive entry on, ``values`` the entries the stochastic verifier
+    reads, and ``_top`` the index :func:`argmax` returns.  ``cdf`` and ``values`` are read-only ``memoryview`` objects,
     because indexing one gives a Python float at less than half what
     indexing an array costs.  ``residuals`` holds, per draft row, the
     residual ``engine.residual_table`` or ``engine.residual_dist`` built;
@@ -79,6 +79,7 @@ class ProbDist:
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-d vector of >= 2 entries, got shape {arr.shape}")
         cdf = np.cumsum(_checked(arr))
+        cdf[-1 if arr[-1] > 0.0 else np.flatnonzero(arr)[-1] :] = 1.0  # from the last positive entry on
         cdf.setflags(write=False)
         self._fill(arr, cdf, int(arr.argmax()))
 
@@ -92,6 +93,11 @@ class ProbDist:
         if matrix.ndim != 2 or matrix.shape[1] < 2:
             raise ValueError(f"expected a 2-d matrix of rows of >= 2 entries, got shape {matrix.shape}")
         cdfs = np.cumsum(_checked(matrix), axis=1)
+        if matrix[:, -1].all():  # no zero tail, as in every smoothed model row: only the last sums are set
+            cdfs[:, -1] = 1.0
+        else:
+            last = matrix.shape[1] - 1 - (matrix[:, ::-1] > 0.0).argmax(axis=1)  # each row's last positive entry
+            cdfs[np.arange(matrix.shape[1]) >= last[:, None]] = 1.0
         cdfs.setflags(write=False)  # once for the matrix: its row views inherit it
         dists = []
         for probs, cdf, top in zip(matrix, cdfs, matrix.argmax(axis=1).tolist()):
@@ -141,7 +147,9 @@ class RngState:
     by the 64-bit seed plus a tuple of stream ids, and nothing global is
     touched.  The generator is built on the first draw, so a state that
     never draws (greedy decoding) costs no key derivation.  Draws come in
-    batches of 64, which equal 64 scalar draws (~0.05 us, not ~1 us, each).
+    batches of 64, which equal 64 scalar draws (~0.05 us, not ~1 us, each);
+    :meth:`take` hands out many at once, and :meth:`untake` gives back the
+    ones a caller did not use.
     """
 
     __slots__ = ("seed", "stream", "_gen", "_batch")
@@ -158,11 +166,30 @@ class RngState:
     def uniform(self) -> float:
         """Next uniform draw in ``[0, 1)``."""
         if not self._batch:
-            if self._gen is None:
-                key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
-                self._gen = np.random.Generator(np.random.Philox(key))
-            self._batch = self._gen.random(64)[::-1].tolist()
+            self._batch = self._draw(64)[::-1]
         return self._batch.pop()
+
+    def take(self, n: int) -> list[float]:
+        """The next ``n`` draws in ``[0, 1)``, in order: what ``n`` calls of
+        :meth:`uniform` return."""
+        batch, short = self._batch, n - len(self._batch)
+        if short > 0:  # whole batches of 64 go behind the rest of this one
+            batch[:0] = self._draw(-(-short // 64) * 64)[::-1]
+        draws = batch[len(batch) - n :]
+        del batch[len(batch) - n :]
+        draws.reverse()
+        return draws
+
+    def untake(self, draws: list[float]) -> None:
+        """Give back ``draws``, the unused tail of the last :meth:`take`: they are the next draws again."""
+        self._batch += draws[::-1]
+
+    def _draw(self, n: int) -> list[float]:
+        """``n`` fresh draws from the generator, which the first one builds."""
+        if self._gen is None:
+            key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
+            self._gen = np.random.Generator(np.random.Philox(key))
+        return self._gen.random(n).tolist()
 
     def substream(self, *ids: int) -> "RngState":
         """Fresh stream for ``(seed, stream + ids)``.
@@ -219,15 +246,10 @@ def sample(dist: ProbDist, rng: RngState) -> TokenId:
     """Inverse-CDF draw from ``dist``; consumes exactly one uniform.
 
     Tokens with zero probability are never returned, so a point mass is
-    sampled exactly.
+    sampled exactly: ``cdf`` is 1.0 from the last positive entry on, so a
+    ``u`` past a cumulative sum that rounded below 1 draws that entry.
     """
-    u = rng.uniform()
-    cdf = dist.cdf
-    idx = bisect.bisect_right(cdf, u)  # first index whose cumulative sum exceeds u
-    if idx >= len(cdf):
-        # u landed past a cumulative sum that rounded slightly below 1.
-        idx = int(np.flatnonzero(dist.probs > 0.0)[-1])
-    return idx
+    return bisect_right(dist.cdf, rng.uniform())
 
 
 def argmax(dist: ProbDist) -> TokenId:

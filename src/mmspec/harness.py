@@ -19,6 +19,7 @@ import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -254,11 +255,12 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
 
     Raises:
         ValueError: on a byte that is not UTF-8, malformed lines, fields
-            of the wrong type (a prompt id must be a non-empty string),
+            of the wrong type (a prompt id must be a non-empty string), an
+            image or prompt token id outside the tokenizer's vocabulary,
             duplicate ids, or an empty dataset, with the file and the
             offending line number in the message.
     """
-    path = Path(path)
+    path, size = Path(path), CharTokenizer().vocab.size
     records: list[PromptRecord] = []
     seen: set[str] = set()
     for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
@@ -283,6 +285,11 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
             if type(obj["id"]) is not str or not obj["id"]:
                 raise TypeError(f"'id' must be a non-empty string, got {obj['id']!r}")
             rec = PromptRecord(prompt_id=obj.pop("id"), **obj)
+            ids = rec.image_ctx + rec.tokens if rec.tokens else rec.image_ctx  # one check for both, as most pass
+            if ids and not 0 <= min(ids) <= max(ids) < size:
+                kind, bad = next((kind, tok) for kind, seq in (("image", rec.image_ctx), ("prompt", rec.tokens))
+                                 for tok in seq or () if not 0 <= tok < size)
+                raise ValueError(f"record {rec.prompt_id!r}: {kind} token {bad} outside vocab of size {size}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if rec.prompt_id in seen:
@@ -318,7 +325,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
-        self.gammas = tuple(int(g) for g in self.gammas)
+        # checked first: a bool or a float passes the range checks below, and the report would echo it
+        self.seed, self.max_new_tokens = _integer("seed", self.seed), _integer("max_new_tokens", self.max_new_tokens)
+        self.gammas = tuple(_integer("gammas", g) for g in self.gammas)
         if not self.gammas:
             raise ValueError("gammas must be a non-empty list")
         if len(set(self.gammas)) < len(self.gammas):
@@ -467,19 +476,19 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
     records = _open("dataset", cfg.dataset, load_dataset)
     prompts = []
     for rec in records:
-        for kind, ids in (("image", rec.image_ctx), ("prompt", rec.tokens or ())):
-            for tok in ids:
-                if not 0 <= tok < tokenizer.vocab.size:
-                    raise ValueError(
-                        f"{cfg.dataset}: record {rec.prompt_id!r}: {kind} token {tok} outside "
-                        f"vocab of size {tokenizer.vocab.size}"
-                    )
         try:
             text = render_template(cfg.template, rec, tokenizer)
             prompts.append(MultimodalPrompt(image_ctx=rec.image_ctx, text=text))
         except ValueError as exc:  # MissingFieldError, a character outside the alphabet, empty text
             raise type(exc)(f"{cfg.dataset}: record {rec.prompt_id!r}: {exc}") from exc
     return _RunContext(tokenizer, target, draft, records, prompts)
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, if it is an integer and not a bool; else a ValueError naming config field ``name``."""
+    if type(value) is bool or not isinstance(value, Integral):
+        raise ValueError(f"config field {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=64, typed=True)

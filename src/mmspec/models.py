@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab, sample
+from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab
 
 __all__ = [
     "BOS",
@@ -416,25 +417,30 @@ class PromptConditionedLm:
         stop: TokenId | None = None,
     ) -> tuple[list[TokenId], list[ProbDist]]:
         """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
-        each one's row.  A token is its row's argmax when ``rng`` is None and a :func:`sample` draw otherwise.
-        The first row is :meth:`next_dist`'s, which perfbench patches, so its key is built again for the rest;
-        each later key is the last one shifted by the token just drawn, and ``generated`` is never changed."""
+        each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk takes ``n`` draws
+        at once, bisects each row's cdf with its own draw, as :func:`sample` does, and gives back the draws of the
+        tokens a stop cut off.  The first row is :meth:`next_dist`'s, which perfbench patches, so its key is built
+        again for the rest; each later key is the last one shifted by the token just drawn, and ``generated`` is
+        never changed."""
         if n < 1:
             return [], []
         row = self.next_dist(prompt, generated)
-        tok = row._top if rng is None else sample(row, rng)
+        draws = None if rng is None else rng.take(n)
+        tok = row._top if draws is None else bisect_right(row.cdf, draws[0])
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
             m, need, get, uniform = len(generated), self._need, self._get, self._uniform
             key = tuple(generated[m - need :]) if m >= need else self._short_key(prompt, generated)
-            for _ in range(n - 1):
+            for i in range(1, n):
                 key = (key + (tok,))[1:]  # an order-1 model's key stays ()
                 row = get(key, uniform)
-                tok = row._top if rng is None else sample(row, rng)
+                tok = row._top if draws is None else bisect_right(row.cdf, draws[i])
                 tokens.append(tok)
                 rows.append(row)
                 if tok == stop:
                     break
+        if draws is not None and len(tokens) < n:
+            rng.untake(draws[len(tokens) :])
         return tokens, rows
 
     def score_block(

@@ -82,6 +82,33 @@ def loop_walk(view, prompt, generated, n, rng=None, stop=None):
     return tokens, rows
 
 
+def cumsum_sample(dist, u):
+    """The inverse-CDF rule :func:`sample` is checked against: the first index
+    whose true cumulative sum exceeds ``u`` (numpy's ``searchsorted`` on the
+    right), or the last positive entry when ``u`` lies past a sum that
+    rounded below 1."""
+    idx = int(np.searchsorted(np.cumsum(dist.probs), u, side="right"))
+    return idx if idx < len(dist) else int(np.flatnonzero(dist.probs > 0.0)[-1])
+
+
+def clamped_cdf(probs):
+    """``ProbDist.cdf`` as the reference builds it: the cumulative sums of
+    ``probs``, with 1.0 from the last positive entry on."""
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs > 0.0)[-1] :] = 1.0
+    return cdf.tolist()
+
+
+def boundary_uniforms(dist):
+    """The u in [0, 1) where an inverse-CDF draw from ``dist`` can change:
+    0, every cumulative sum, the float on either side of each, and the
+    largest float below 1."""
+    us = {0.0, float(np.nextafter(1.0, 0.0))}
+    for total in np.cumsum(dist.probs).tolist():
+        us.update((total, float(np.nextafter(total, 0.0)), float(np.nextafter(total, 2.0))))
+    return sorted(u for u in us if 0.0 <= u < 1.0)
+
+
 def random_prompt(rng, vocab, max_image=4, max_text=6):
     img = tuple(rng.integers(0, vocab.size, int(rng.integers(0, max_image + 1))).tolist())
     txt = tuple(rng.integers(0, vocab.size, int(rng.integers(1, max_text + 1))).tolist())

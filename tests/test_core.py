@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import FixedUniform, assert_drawn
+from helpers import FixedUniform, assert_drawn, boundary_uniforms, clamped_cdf, cumsum_sample, random_dist
 
 from mmspec.core import (
     AllZeroError,
@@ -185,26 +185,50 @@ class TestSample:
         assert 0.49 <= zeros / n <= 0.51
 
 
-def searchsorted_sample(dist, u):
-    """The inverse-CDF draw as numpy's ``searchsorted(side="right")`` gives it."""
-    idx = int(np.searchsorted(np.cumsum(dist.probs), u, side="right"))
-    return idx if idx < len(dist) else int(np.flatnonzero(dist.probs > 0.0)[-1])
-
-
 class TestSampleEdges:
+    @staticmethod
+    def rows_below_one():
+        """Rows whose cumulative sum rounds below 1, with and without trailing
+        zeros, some ending in an entry too small to move the sum, each built
+        alone and as a table row."""
+        rows = [[0.1] * 10, [0.1] * 10 + [0.0], [0.1] * 10 + [0.0] * 3, [0.0, *[0.1] * 10, 0.0]]
+        rows += [[0.1] * 10 + [1e-300], [0.1] * 10 + [1e-300, 0.0]]
+        rng = np.random.default_rng(30)
+        while len(rows) < 12:
+            w = rng.random(int(rng.integers(2, 20)))
+            w[rng.random(w.size) < 0.3] = 0.0
+            w[-int(rng.integers(0, 3)) or w.size :] = 0.0  # up to two trailing zeros
+            if w.sum() > 0 and np.cumsum(w / w.sum())[-1] < 1.0:
+                rows.append((w / w.sum()).tolist())
+        return [ProbDist(r) for r in rows] + [ProbDist.table(np.array([r]))[0] for r in rows]
+
     def test_u_on_a_cumulative_sum_matches_searchsorted(self):
         """Ties: a u equal to a cumulative sum, including runs of equal sums
-        from zero-probability tokens, draws the first token past it."""
+        from zero-probability tokens, draws the first token past it.  At
+        every sum and the float on either side of it, ``sample`` draws what
+        the reference rule draws on the true cumsum, for rows with zeros
+        inside and at the end, and for a row whose sum passes 1 before its
+        last positive entry."""
         d = ProbDist([0.25, 0.0, 0.25, 0.0, 0.0, 0.5])
-        for u in [0.0, *d.cdf.tolist(), 0.3, 0.75]:
-            assert sample(d, FixedUniform(u)) == searchsorted_sample(d, u), u
         assert [sample(d, FixedUniform(u)) for u in (0.0, 0.25, 0.5)] == [0, 2, 5]
+        over = ProbDist([0.5, 0.5 + 2**-52, 1e-300])
+        assert np.cumsum(over.probs)[1] > 1.0
+        rng = np.random.default_rng(31)
+        rows = [d, over, *self.rows_below_one(), *(random_dist(rng, 7, allow_zeros=True) for _ in range(40))]
+        for d in rows:
+            for u in boundary_uniforms(d):
+                assert sample(d, FixedUniform(u)) == cumsum_sample(d, u), (d, u)
 
     def test_cdf_rounding_below_one_falls_back_to_last_positive(self):
-        d = ProbDist([0.1] * 10 + [0.0])
-        assert d.cdf[-1] < 1.0
-        for u in (d.cdf[-1], float(np.nextafter(d.cdf[-1], 1.0))):
-            assert sample(d, FixedUniform(u)) == searchsorted_sample(d, u) == 9
+        """A u past a cumulative sum that rounded below 1 draws the last
+        positive entry, as the reference rule's fallback does: the stored
+        cdf is the cumsum up to that entry and 1.0 from it on."""
+        for d in self.rows_below_one():
+            sums, last = np.cumsum(d.probs), int(np.flatnonzero(d.probs)[-1])
+            assert sums[-1] < 1.0
+            assert list(d.cdf) == sums[:last].tolist() + [1.0] * (len(d) - last) == clamped_cdf(d.probs)
+            for u in {sums[-1], float(np.nextafter(sums[-1], 1.0)), float(np.nextafter(1.0, 0.0))} - {1.0}:
+                assert sample(d, FixedUniform(u)) == cumsum_sample(d, u) == last
 
 
 class TestArgmax:
@@ -229,8 +253,10 @@ class TestArgmax:
     def test_equals_numpy_on_bundled_corpus_rows(self, order):
         """Every row of a bundled-corpus model's table, the shared uniform
         row and rows whose largest count is tied among them; their ``cdf``
-        and ``values``, built for the whole table at once, equal the
-        per-row numpy answers too."""
+        (the cumsum, 1.0 from the last positive entry on) and ``values``,
+        built for the whole table at once, equal the per-row numpy answers
+        too, and rows across the table draw what the reference rule draws
+        at every cumulative-sum boundary."""
         tok = CharTokenizer()
         lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
         seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
@@ -240,8 +266,11 @@ class TestArgmax:
         assert m._uniform in tied and (order == 1 or len(tied) > 1)
         for d in rows:
             assert argmax(d) == argmax(d) == int(np.argmax(d.probs))
-            assert list(d.cdf) == np.cumsum(d.probs).tolist()
+            assert list(d.cdf) == clamped_cdf(d.probs)
             assert list(d.values) == d.probs.tolist()
+        for d in rows[:: max(1, len(rows) // 60)]:  # a spread of rows, as each has ~230 boundary draws
+            for u in boundary_uniforms(d):
+                assert sample(d, FixedUniform(u)) == cumsum_sample(d, u)
 
 
 class TestCdf:
@@ -273,6 +302,29 @@ class TestRngState:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
         assert [rng.uniform() for _ in range(300)] == [gen.random() for _ in range(300)]
         assert_drawn(rng, 300)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("before", [0, 37])
+    def test_take_equals_scalar_draws(self, before, n):
+        """After ``before`` draws, ``take(n)`` and one more ``uniform()`` are
+        the next ``n + 1`` scalar Philox draws of the same address."""
+        rng = RngState(7, (2,))
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(7, spawn_key=(2,))))
+        got = [rng.uniform() for _ in range(before)]
+        taken = rng.take(n)
+        assert type(taken) is list and len(taken) == n
+        assert got + taken + [rng.uniform()] == [gen.random() for _ in range(before + n + 1)]
+
+    @pytest.mark.parametrize("kept", [0, 1, 30, 64, 100])
+    def test_untake_gives_back_the_tail(self, kept):
+        """Draws given back by ``untake`` are the next ones again, in order,
+        so the stream goes on as if only ``kept`` of them had been taken."""
+        rng, fresh = RngState(3), RngState(3)
+        rng.uniform()
+        draws = rng.take(100)
+        rng.untake(draws[kept:])
+        assert rng.take(150) == [fresh.uniform() for _ in range(151 + kept)][1 + kept :]
+        assert_drawn(rng, 151 + kept)
 
     def test_greedy_generation_draws_nothing(self, monkeypatch):
         """Greedy SPD runs derive no substream of the state they are given,

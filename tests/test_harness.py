@@ -316,6 +316,30 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=rf"typed\.jsonl:2: '{name}'"):
             load_dataset(path)
 
+    def test_out_of_vocab_ids_name_the_line(self, tmp_path):
+        """Seeded cases: an image or prompt token id that is negative, at or
+        past the vocabulary size, or past int64, put into one record of the
+        bundled dataset, is an error naming the file, the record's line, the
+        record and the id."""
+        lines = demo_dataset_path().read_text(encoding="utf-8").splitlines()
+        size = len(DEFAULT_ALPHABET) + 1
+        path = tmp_path / "ids.jsonl"
+        rng = np.random.default_rng(90)
+        for _ in range(60):
+            at = int(rng.integers(len(lines)))
+            record = json.loads(lines[at])
+            bad = int(rng.choice([-1, -(2**70), size, size + int(rng.integers(1000)), 2**63, 2**70]))
+            kind = ("image", "image_ctx") if rng.random() < 0.5 else ("prompt", "tokens")
+            ids = [int(i) for i in rng.integers(0, size, int(rng.integers(0, 4)))]
+            ids.insert(int(rng.integers(len(ids) + 1)), bad)
+            if kind[1] == "tokens":
+                record.pop("prompt_text")
+            record[kind[1]] = ids
+            path.write_text("\n".join([*lines[:at], json.dumps(record), *lines[at + 1 :]]) + "\n", encoding="utf-8")
+            reason = f"{path}:{at + 1}: record {record['id']!r}: {kind[0]} token {bad} outside vocab of size {size}"
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                load_dataset(path)
+
     def test_conflicting_payload_reports_line(self, tmp_path):
         path = tmp_path / "conflict.jsonl"
         path.write_text('{"id": "a", "prompt_text": "x", "tokens": [1]}\n', encoding="utf-8")
@@ -451,6 +475,36 @@ class TestExperimentConfig:
                 ExperimentConfig.from_file(path)
             with pytest.raises(ValueError, match=reason):
                 replace(self.base(), max_new_tokens=value)
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("seed", 1.5, "1.5"),
+            ("seed", True, "True"),
+            ("seed", "3", "'3'"),
+            ("max_new_tokens", 8.5, "8.5"),
+            ("max_new_tokens", False, "False"),
+            ("gammas", (True, 2), "True"),
+            ("gammas", (1, 2.9), "2.9"),
+            ("gammas", (np.float64(2.0),), repr(np.float64(2.0))),
+        ],
+    )
+    def test_direct_build_rejects_non_integers(self, field, value, shown):
+        """Built directly, as the benchmark builds it, or by ``replace``, a
+        config rejects a non-integer or bool seed, gamma or max_new_tokens
+        by name.  ``gammas=(True, 2.9)`` built as ``(1, 2)``, and a seed of
+        1.5 was echoed in the report while the streams used seed 1."""
+        reason = re.escape(f"config field {field} must be an integer, got {shown}")
+        with pytest.raises(ValueError, match=reason):
+            self.base(**{field: value})
+        with pytest.raises(ValueError, match=reason):
+            replace(self.base(gammas=(1,), max_new_tokens=8), **{field: value})
+
+    def test_direct_build_takes_numpy_integers_as_int(self):
+        cfg = self.base(seed=np.uint64(2**64 - 1), gammas=(np.int32(2), 3), max_new_tokens=np.int64(8))
+        assert (cfg.seed, cfg.gammas, cfg.max_new_tokens) == (2**64 - 1, (2, 3), 8)
+        assert {type(cfg.seed), type(cfg.max_new_tokens), *map(type, cfg.gammas)} == {int}
+        assert cfg.summary()["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("field", ["target_model", "draft_model", "dataset"])
     def test_empty_path_rejected(self, tmp_path, field):
@@ -731,10 +785,10 @@ class TestRunExperiment:
         """Pre-tokenized ids outside [0, V) would otherwise run, and -1 would
         collide with the models' BOS padding."""
         bad = tmp_path / "tokens.jsonl"
-        for tokens in ([999, 3], [-1, 3], [3, -5]):
+        for tokens in ([999, 3], [-1, 3], [3, -5], [3, 2**70]):
             bad.write_text(json.dumps({"id": "q7", "tokens": tokens}) + "\n", encoding="utf-8")
             cfg = replace(demo_cfg, dataset=str(bad))
-            with pytest.raises(ValueError, match=r"tokens\.jsonl: record 'q7': prompt token"):
+            with pytest.raises(ValueError, match=r"tokens\.jsonl:1: record 'q7': prompt token"):
                 run_experiment(cfg, tmp_path / "out")
 
     @pytest.mark.parametrize(

@@ -852,3 +852,21 @@ class TestWalk:
                             assert_drawn(walk_rng, len(tokens))
                         seen["n = 0" if n == 0 else "stopped" if len(tokens) < n else "ran to n"] += 1
         assert len(seen) == 3, seen
+
+    def test_stopped_walk_leaves_the_stream_where_the_loop_does(self):
+        """A stochastic walk takes ``n`` draws at once and gives back those of
+        the tokens a stop cut off: after each walk of a run on one stream,
+        with ``n`` up to twice a batch and with and without an EOS stop, the
+        next draw is the reference loop's next draw."""
+        rng = np.random.default_rng(520)
+        vocab = Vocab(size=4, eos=0)
+        view = MultimodalTargetLm(random_model(rng, vocab, order=3, n_seqs=8))
+        walk_rng, loop_rng = RngState(52), RngState(52)
+        seen = Counter()
+        for i in range(200):
+            prompt, n, stop = random_prompt(rng, vocab), int(rng.integers(0, 130)), None if i % 4 == 0 else vocab.eos
+            tokens, _ = view.walk(prompt, [], n, walk_rng, stop)
+            assert tokens == loop_walk(view, prompt, [], n, loop_rng, stop)[0]
+            assert walk_rng.uniform() == loop_rng.uniform()
+            seen["stopped" if len(tokens) < n else "ran to n"] += 1
+        assert min(seen.values()) >= 10, seen

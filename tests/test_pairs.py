@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -54,15 +55,38 @@ class TestTable:
                 "change": [result(0.090, 1.1e5), result(0.110, 1.9e5), result(0.095, 3.3e5)]}
         rows = pairs.table(runs, BETTER, "chat-stoch-sweep", 0)
         assert rows[0] == ("| `chat-stoch-sweep` | 0 | `sweep_s` | 102.00 ms [101.00 ms, 103.00 ms] "
-                           "| 95.00 ms [92.50 ms, 102.50 ms] | -6.9% | 2/3 |")
+                           "| 95.00 ms [92.50 ms, 102.50 ms] | -6.9% | 2/3 | 2.00 ms | no |")
         assert rows[1] == ("| `chat-stoch-sweep` | 0 | `spd_tokens_per_s` | 200.00k [150.00k, 250.00k] "
-                           "| 190.00k [150.00k, 260.00k] | -5.0% | 2/3 |")
+                           "| 190.00k [150.00k, 260.00k] | -5.0% | 2/3 | 100.00k | no |")
 
     def test_prefix_reads_one_workload_of_an_all_run(self):
         line = result(0.1, 1e5, [f"{w}." for w in WORKLOADS])
         runs = {"parent": [line], "change": [line]}
         rows = pairs.table(runs, BETTER, "plain-greedy-eos", 11, "plain-greedy-eos.")
         assert [row.split(" | ")[:3] for row in rows] == [["| `plain-greedy-eos`", "11", f"`{m}`"] for m in BETTER]
+
+    @pytest.mark.parametrize(
+        "losses, gap, holds",
+        [
+            (0, 5e3, "yes"),  # 10/10, the median gap 5k against a parent IQR of 4.5k
+            (1, 5e3, "yes"),  # 9/10
+            (2, 5e3, "no"),  # 8/10
+            (0, 4.5e3, "no"),  # 10/10, but the gap is only the parent's IQR
+        ],
+    )
+    def test_claim_rule(self, losses, gap, holds):
+        """A claim holds when the change wins at least 9 of 10 pairs and its
+        median beats the parent's by more than the parent's IQR, in each
+        metric's own direction: ``sweep_s`` lower, the rate higher."""
+        parent = [100e3 + 1e3 * i for i in range(10)]  # median 104.5k, quartiles 102.25k and 106.75k
+        change = [p + gap for p in parent]
+        for i in range(losses):  # losses in pairs below both medians, which stay as they are
+            change[i] = parent[i] - 1e3
+        assert statistics.median(change) - statistics.median(parent) == gap
+        runs = {"parent": [result(1e3 / v, v) for v in parent], "change": [result(1e3 / v, v) for v in change]}
+        sweep, rate = pairs.table(runs, BETTER, "chat-stoch-sweep", 0)
+        assert rate.endswith(f"| {10 - losses}/10 | 4.50k | {holds} |")
+        assert sweep.split(" | ")[-3] == f"{10 - losses}/10" and sweep.endswith(f"| {holds} |")
 
 
 class TestMain:

@@ -4,7 +4,10 @@
 Runs ``perfbench/run.py --trace 0``, at the benchmark's own run length,
 from two checkouts in turn, N pairs, alternating which side runs first, and
 prints, per end-to-end metric, each side's median and quartiles, the change
-of the medians, and in how many pairs the change read better:
+of the medians, in how many pairs the change read better, the parent's
+interquartile range, and whether a claimed gain on that metric holds: the
+change reads better in at least 9 of 10 pairs, and its median is better
+than the parent's by more than the parent's interquartile range:
 
     python3 tools/pairs.py --parent ../parent --change . --workload chat-stoch-sweep --pairs 10
 
@@ -55,17 +58,19 @@ def table(runs: dict[str, list[dict]], better: dict[str, str], workload: str, se
     for name, direction in better.items():
         values = {side: [r["metrics"][prefix + name]["value"] for r in runs[side]] for side in SIDES}
         unit = runs["change"][0]["metrics"][prefix + name]["unit"]
-        cells = []
-        for side in SIDES:
-            v = values[side]
-            q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
-            cells.append(f"{fmt(statistics.median(v), unit)} [{fmt(q1, unit)}, {fmt(q3, unit)}]")
+        q = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+             for side, v in values.items()}
+        cells = [f"{fmt(statistics.median(values[side]), unit)} [{fmt(q[side][0], unit)}, {fmt(q[side][2], unit)}]"
+                 for side in SIDES]
+        iqr = q["parent"][2] - q["parent"][0]
         parent, change = (statistics.median(values[side]) for side in SIDES)
         sign = 1 if direction == "higher" else -1
+        pairs = len(values["parent"])
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        holds = 10 * wins >= 9 * pairs and sign * (change - parent) > iqr
         pct = (change - parent) / parent * 100 if parent else 0.0
         rows.append(f"| `{workload}` | {seed} | `{name}` | {cells[0]} | {cells[1]} | {pct:+.1f}% "
-                    f"| {wins}/{len(values['parent'])} |")
+                    f"| {wins}/{pairs} | {fmt(iqr, unit)} | {'yes' if holds else 'no'} |")
     return rows
 
 
@@ -96,8 +101,9 @@ def main(argv: list[str] | None = None) -> int:
         tables = {name.split(".")[0]: name.split(".")[0] + "." for name in runs["change"][0]["metrics"]}
     for workload, prefix in tables.items():
         print()
-        print("| workload | seed | metric | parent median [q1, q3] | change median [q1, q3] | change | change better in |")
-        print("|---|---|---|---|---|---|---|")
+        print("| workload | seed | metric | parent median [q1, q3] | change median [q1, q3] | change "
+              "| change better in | parent IQR | claim holds |")
+        print("|---|---|---|---|---|---|---|---|---|")
         print("\n".join(table(runs, better, workload, args.seed, prefix)))
     return 0
 
