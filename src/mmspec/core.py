@@ -160,6 +160,8 @@ class RngState:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.stream = (stream,) if isinstance(stream, int) else tuple(int(s) for s in stream)
+        if self.stream and min(self.stream) < 0:
+            raise ValueError(f"stream ids must be non-negative integers, got stream {self.stream}")
         self._gen: np.random.Generator | None = None
         self._batch: list[float] = []  # the rest of the current batch, last draw first
 
@@ -185,9 +187,16 @@ class RngState:
         self._batch += draws[::-1]
 
     def _draw(self, n: int) -> list[float]:
-        """``n`` fresh draws from the generator, which the first one builds."""
+        """``n`` fresh draws from the generator, which the first one builds.
+
+        Its key is ``SeedSequence(seed, spawn_key=stream)``'s, built from the
+        one uint32 array numpy assembles for it: the seed's 32-bit words,
+        least significant first, zero-padded to the pool's 4 (numpy pads only
+        before a stream, but its pool mixes a missing word as 0), then each
+        stream id's words."""
         if self._gen is None:
-            key = np.random.SeedSequence(self.seed, spawn_key=self.stream)
+            ids = b"".join(s.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little") for s in self.stream)
+            key = np.random.SeedSequence(np.frombuffer(self.seed.to_bytes(16, "little") + ids, dtype="<u4"))
             self._gen = np.random.Generator(np.random.Philox(key))
         return self._gen.random(n).tolist()
 

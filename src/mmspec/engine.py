@@ -150,21 +150,17 @@ def residual_table(target: NgramLm, draft: NgramLm) -> None:
     its context's suffix (or the uniform row), bit-equal to
     :func:`residual_dist`'s, by ``setdefault`` so a built one is kept."""
     target.residual_draft = draft
-    index = {ctx: i for i, ctx in enumerate(draft.contexts)}
-    at = [index.get(ctx[len(ctx) - draft.order + 1 :], -1) for ctx in target.contexts]  # -1: the uniform row
-    res = draft.probs[at]  # the gathered draft rows, then the residuals in place
-    res[np.asarray(at) < 0] = draft._uniform.probs
-    np.subtract(target.probs, res, out=res)
+    pairs = [(q, draft.rows.get(code % draft.code_mod, draft._uniform)) for code, q in target.rows.items()]
+    res = target.probs - np.array([p.probs for _, p in pairs])  # then clipped and normalized in place
     np.maximum(res, 0.0, out=res)
     totals = res.sum(axis=1)
     kept = np.flatnonzero(totals > 0.0)
     res = res[kept]
     res /= totals[kept, None]
-    p_rows = [*map(draft.rows.__getitem__, draft.contexts), draft._uniform]
     for i, row in zip(kept.tolist(), ProbDist.table(res)):
-        q = target.rows[target.contexts[i]]
+        q, p = pairs[i]
         q.residuals = q.residuals or {}
-        q.residuals.setdefault(p_rows[at[i]], row)
+        q.residuals.setdefault(p, row)
 
 
 def draft_block(

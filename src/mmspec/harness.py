@@ -328,6 +328,11 @@ class ExperimentConfig:
         # checked first: a bool or a float passes the range checks below, and the report would echo it
         self.seed, self.max_new_tokens = _integer("seed", self.seed), _integer("max_new_tokens", self.max_new_tokens)
         self.gammas = tuple(_integer("gammas", g) for g in self.gammas)
+        for name in ("draft_uses_image", "stop_on_eos"):  # "no" is truthy, and would run with the EOS stop
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"config field {name} must be a boolean, got {getattr(self, name)!r}")
+        if type(self.cost_c) is bool or not isinstance(self.cost_c, (int, float)):
+            raise ValueError(f"config field cost_c must be a number, got {self.cost_c!r}")
         if not self.gammas:
             raise ValueError("gammas must be a non-empty list")
         if len(set(self.gammas)) < len(self.gammas):

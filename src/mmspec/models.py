@@ -81,10 +81,14 @@ class NgramLm:
     ``i`` counts the tokens that followed ``contexts[i]`` in training: at
     least one row, ``vocab.size`` columns, no negative count, and no row
     whose total passes ``2**63 - 1``, where int64 would wrap.  :attr:`rows`
-    holds the row of every such context, a view of that row of :attr:`probs`.
-    It is built on first use, in one numpy pass over the matrix that is
-    validated as a whole, so loading a model does no extra work.  A query is
-    then one ``dict.get`` that falls back to the one shared uniform row;
+    holds the row of every such context, a view of that row of :attr:`probs`,
+    keyed by the context's window code: the ids as digits ``id + 1`` in base
+    ``V + 1``, the last id lowest, so BOS is digit 0 and a window's suffix is
+    its code modulo a power of ``V + 1``, such as a lower-order model's
+    ``code_mod``.  Codes are Python ints, which never overflow.  The table
+    is built on first use, in one numpy pass over the matrix that is
+    validated as a whole, so loading a model does no extra work.  A query
+    is then one ``dict.get`` that falls back to the one shared uniform row;
     unseen contexts are never stored.  ``residual_draft`` is the draft whose
     ``engine.residual_table`` these rows hold, if any.
     """
@@ -124,7 +128,8 @@ class NgramLm:
         self.contexts = contexts
         self.counts = counts
         self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
-        self._rows: dict[tuple[TokenId, ...], ProbDist] | None = None
+        self._rows: dict[int, ProbDist] | None = None
+        self.code_mod = (vocab.size + 1) ** (order - 1)  # codes lie below it; a code modulo it drops the oldest id
         self.residual_draft: NgramLm | None = None
 
     @functools.cached_property
@@ -135,22 +140,21 @@ class NgramLm:
         return probs
 
     @property
-    def rows(self) -> dict[tuple[TokenId, ...], ProbDist]:
-        """Row of every context seen in training, keyed by its window; built on first use."""
+    def rows(self) -> dict[int, ProbDist]:
+        """Row of every context seen in training, keyed by its window code; built on first use."""
         if self._rows is None:
             # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
-            self._rows = dict(zip(self.contexts, type(self._uniform).table(self.probs)))
+            codes = (_code(ctx, self.vocab.size + 1) for ctx in self.contexts)
+            self._rows = dict(zip(codes, type(self._uniform).table(self.probs)))
         return self._rows
 
-    def context(self, prefix: Sequence[TokenId]) -> tuple[TokenId, ...]:
-        """BOS-padded window of the last ``order - 1`` prefix tokens."""
-        need = self.order - 1
-        if need == 0:
-            return ()
-        window = tuple(prefix[-need:])
-        if len(window) < need:
-            window = (BOS,) * (need - len(window)) + window
-        return window
+
+def _code(window: Sequence[TokenId], base: int) -> int:
+    """The code of ``window``: each id is digit ``id + 1`` in ``base``, the vocab size + 1, the last id lowest."""
+    code = 0
+    for tok in window:
+        code = code * base + tok + 1
+    return code
 
 
 def train_ngram(
@@ -375,38 +379,47 @@ class PromptConditionedLm:
     """Adapts a flat-prefix model to ``(prompt, generated)`` queries.
 
     A query keys ``base.rows``, which the view takes (building it if need be)
-    when it is made, with the BOS-padded window of the flat prefix: one key
+    when it is made, with the code of the flat prefix's window: one integer
     and one ``dict.get`` that falls back to the shared uniform row.  Once the
-    output fills the window the key is the output's tail.  Before that it
-    is the prompt's BOS-padded tail topped up by the output, and that tail is
-    computed once per prompt."""
+    output fills the window the code is a fold of the output's tail.  Before
+    that it is the code of the prompt's tail, computed once per prompt, with
+    each output id shifted in; BOS padding is digit 0, so it costs nothing.
+    A key moves on by one token as ``(key * base + tok + 1) % base**need``."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
     def __init__(self, base: NgramLm) -> None:
         self.base = base
         self._need = base.order - 1
+        self._base = base.vocab.size + 1
+        self._mod = base.code_mod  # 1 for order 1, whose key stays 0
         self._get = base.rows.get
         self._uniform = base._uniform
-        self._tail: tuple[MultimodalPrompt | None, tuple[TokenId, ...]] = (None, ())  # (prompt, its padded tail)
+        self._tail: tuple[MultimodalPrompt | None, int] = (None, 0)  # (prompt, its tail's code)
 
     @property
     def vocab(self) -> Vocab:
         return self.base.vocab
 
-    def _short_key(self, prompt: MultimodalPrompt, generated: Sequence[TokenId]) -> tuple[TokenId, ...]:
-        """The key for an output shorter than the window: the prompt's BOS-padded tail, topped up by the output."""
-        tail, need = self._tail, self._need
-        if tail[0] is not prompt:
+    def _key(self, prompt: MultimodalPrompt, generated: Sequence[TokenId]) -> int:
+        """The code of the window that ends with ``generated``."""
+        n, need = len(generated), self._need
+        key, base = 0, self._base
+        if n >= need:
+            for tok in generated[n - need :]:
+                key = key * base + tok + 1
+            return key
+        if self._tail[0] is not prompt:
             # each part cut to the window first, so a long prompt is never concatenated whole
-            text = prompt.image_ctx[-need:] + prompt.text[-need:] if self.sees_image else prompt.text
-            tail = self._tail = (prompt, self.base.context(text))
-        return (tail[1] + tuple(generated))[-need:]
+            text = (prompt.image_ctx[-need:] + prompt.text[-need:] if self.sees_image else prompt.text)[-need:]
+            for tok in text:  # an id outside the vocab would code as another window
+                if not 0 <= tok < base - 1:
+                    raise ValueError(f"prompt window {list(text)} holds an id outside the vocab of size {base - 1}")
+            self._tail = (prompt, _code(text, base))
+        return (self._tail[1] * base**n + _code(generated, base)) % self._mod  # each output id shifted in
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
-        n, need = len(generated), self._need
-        key = tuple(generated[n - need :]) if n >= need else self._short_key(prompt, generated)
-        return self._get(key, self._uniform)
+        return self._get(self._key(prompt, generated), self._uniform)
 
     def walk(
         self,
@@ -429,10 +442,9 @@ class PromptConditionedLm:
         tok = row._top if draws is None else bisect_right(row.cdf, draws[0])
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
-            m, need, get, uniform = len(generated), self._need, self._get, self._uniform
-            key = tuple(generated[m - need :]) if m >= need else self._short_key(prompt, generated)
+            key, base, mod, get, uniform = self._key(prompt, generated), self._base, self._mod, self._get, self._uniform
             for i in range(1, n):
-                key = (key + (tok,))[1:]  # an order-1 model's key stays ()
+                key = (key * base + tok + 1) % mod
                 row = get(key, uniform)
                 tok = row._top if draws is None else bisect_right(row.cdf, draws[i])
                 tokens.append(tok)
@@ -446,12 +458,11 @@ class PromptConditionedLm:
     def score_block(
         self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]
     ) -> list[ProbDist]:
-        n, need = len(generated), self._need
-        key = tuple(generated[n - need :]) if n >= need else self._short_key(prompt, generated)
-        window, get, uniform = key + tuple(block), self._get, self._uniform
-        dists = []  # a loop: on Python 3.11 a comprehension costs a frame per call
-        for j in range(len(block) + 1):
-            dists.append(get(window[j : j + need], uniform))
+        key, base, mod, get, uniform = self._key(prompt, generated), self._base, self._mod, self._get, self._uniform
+        dists = [get(key, uniform)]  # a loop: on Python 3.11 a comprehension costs a frame per call
+        for tok in block:
+            key = (key * base + tok + 1) % mod
+            dists.append(get(key, uniform))
         return dists
 
 

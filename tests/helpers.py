@@ -51,20 +51,34 @@ def loop_train_ngram(corpus, order, alpha, vocab):
     return NgramLm(vocab, order, alpha, tuple(rows), counts)
 
 
+def code(window, size):
+    """The integer code of a window of ids over a vocabulary of ``size``:
+    digit ``id + 1`` in base ``size + 1`` per id, the last id lowest, so BOS
+    is digit 0.  The reference ``NgramLm.rows``' keys are checked against."""
+    return sum((i + 1) * (size + 1) ** k for k, i in enumerate(reversed(window)))
+
+
+def context(model, prefix):
+    """The BOS-padded window of the last ``order - 1`` ids of ``prefix``."""
+    need = model.order - 1
+    tail = tuple(prefix)[max(len(prefix) - need, 0) :] if need else ()
+    return (BOS,) * (need - len(tail)) + tail
+
+
 def flat_next_dist(model, prefix):
     """``model``'s distribution over the next token after the flat
-    ``prefix``, keyed by :meth:`NgramLm.context`'s BOS-padded window; the
-    reference the prompt-conditioned views are checked against."""
-    return model.rows.get(model.context(prefix), model._uniform)
+    ``prefix``, keyed by the :func:`code` of :func:`context`'s BOS-padded
+    window; the reference the prompt-conditioned views are checked against."""
+    return model.rows.get(code(context(model, prefix), model.vocab.size), model._uniform)
 
 
 def flat_score_block(model, prefix, block):
     """``model``'s distributions at every position along ``block`` after the
     flat ``prefix``, plus one more: entry ``j`` conditions on
     ``prefix + block[:j]``."""
-    window = model.context(prefix) + tuple(block)
-    need = model.order - 1
-    return [model.rows.get(window[j : j + need], model._uniform) for j in range(len(block) + 1)]
+    window = context(model, prefix) + tuple(block)
+    need, size = model.order - 1, model.vocab.size
+    return [model.rows.get(code(window[j : j + need], size), model._uniform) for j in range(len(block) + 1)]
 
 
 def loop_walk(view, prompt, generated, n, rng=None, stop=None):
@@ -160,8 +174,8 @@ def accept_law(target, draft, window, gamma):
     and the accept mass ``m(s, x) = min(p(x | s_draft), q(x | s))`` is
     Leviathan et al.'s beta split by token; ``s_draft`` is the last
     ``draft.order - 1`` ids of ``s``.  Rows come from ``NgramLm.rows`` by
-    this function's own window arithmetic, not through the views: a window
-    is an integer in base V + 1, with BOS as digit 0.  An unseen target
+    :func:`row_of`, not through the views, and windows are their
+    :func:`code`, integers in base V + 1 with BOS as digit 0.  An unseen target
     window has the uniform row, so its accept mass and its successors
     depend only on its last ``w - 1`` ids: such windows share one state per
     ``w - 1`` ids.  Needs ``1 <= draft.order < target.order``.
@@ -169,22 +183,18 @@ def accept_law(target, draft, window, gamma):
     size, w, dw = target.vocab.size, target.order - 1, draft.order - 1
     base = size + 1
     tail = base ** (w - 1)
-
-    def code(ids):
-        return sum((i + 1) * base**k for k, i in enumerate(reversed(ids)))
-
-    seen = np.array(sorted(map(code, target.contexts)))
+    seen = np.array(sorted(code(ctx, size) for ctx in target.contexts))
     states = np.concatenate([seen, np.arange(tail)])  # seen windows, then one state per unseen window's tail
     successor = (states % tail)[:, None] * base + np.arange(1, size + 1)
     at = np.searchsorted(seen, successor).clip(max=len(seen) - 1)
     successor = np.where(seen[at] == successor, at, len(seen) + successor % tail)
-    q_rows = {code(ctx): row.probs for ctx, row in target.rows.items()}
+    q_rows = {code(ctx, size): row_of(target, ctx) for ctx in target.contexts}
     q = np.vstack([[q_rows[c] for c in seen.tolist()], np.full((tail, size), 1.0 / size)])
     p = np.full((base**dw, size), 1.0 / size)
-    for ctx, row in draft.rows.items():
-        p[code(ctx)] = row.probs
+    for ctx in draft.contexts:
+        p[code(ctx, size)] = row_of(draft, ctx)
     mass = np.minimum(p[states % base**dw], q)
-    start = code(window)
+    start = code(window, size)
     start = int(np.searchsorted(seen, start)) if start in q_rows else len(seen) + start % tail
     law = [np.ones(len(states))]
     for _ in range(gamma):
@@ -193,9 +203,9 @@ def accept_law(target, draft, window, gamma):
 
 
 def row_of(model, window):
-    """``model``'s row after ``window``, read from ``NgramLm.rows``: the
-    uniform row for a window never seen in training."""
-    row = model.rows.get(tuple(window))
+    """``model``'s row after ``window``, read from ``NgramLm.rows`` by its
+    :func:`code`: the uniform row for a window never seen in training."""
+    row = model.rows.get(code(window, model.vocab.size))
     return np.full(model.vocab.size, 1.0 / model.vocab.size) if row is None else row.probs
 
 

@@ -1,5 +1,7 @@
 """Tests for core value types and probability primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,33 @@ class TestRngState:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
         assert [rng.uniform() for _ in range(300)] == [gen.random() for _ in range(300)]
         assert_drawn(rng, 300)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_key_is_the_seed_sequence_key(self, seed):
+        """The generator's state is the one ``SeedSequence(seed,
+        spawn_key=stream)`` gives, and so are its draws: for seeds on either
+        side of a 32-bit word and the largest seed, with no stream, one-id and
+        four-id streams, and ids of one, two and three words."""
+        streams = [(), (0,), (1, 7, 19, 2), (2**32 - 1,), (2**32,), (5, 2**64 - 1, 0), (2**70 + 3, 1)]
+        for stream in streams:
+            rng = RngState(seed, stream)
+            draws = rng.take(3)
+            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
+            assert draws == gen.random(3).tolist(), stream
+            fresh = np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)).state
+            assert rng._gen.bit_generator.state["state"]["key"].tolist() == fresh["state"]["key"].tolist()
+
+    @pytest.mark.parametrize("stream", [-1, (1, -2), (0, 3, -(2**70))])
+    def test_negative_stream_id_rejected(self, stream):
+        """A negative stream id is refused by name when the state is built or
+        derived, not at its first draw inside numpy, which a greedy run never
+        makes."""
+        shown = (stream,) if isinstance(stream, int) else stream
+        with pytest.raises(ValueError, match=re.escape(f"got stream {shown}")):
+            RngState(0, stream)
+        *head, last = shown
+        with pytest.raises(ValueError, match=re.escape(f"got stream {shown}")):
+            RngState(0, tuple(head)).substream(last)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
     @pytest.mark.parametrize("before", [0, 37])

@@ -5,7 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import FixedUniform, assert_drawn, bundled_corpus, random_dist, random_model, random_prompt, random_vocab
+from helpers import (
+    FixedUniform,
+    assert_drawn,
+    bundled_corpus,
+    code,
+    random_dist,
+    random_model,
+    random_prompt,
+    random_vocab,
+)
 
 from mmspec import engine
 from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, Vocab, argmax, normalize, sample
@@ -63,8 +72,9 @@ class SpyDraft(QueryCounter, TextOnlyDraftLm):
 
 
 def record_lookups(view):
-    """Route ``view``'s row lookups through a :class:`KeyRecorder`; returns the list of keys asked."""
-    rows = view.base._rows = KeyRecorder(view.base.rows)
+    """Route ``view``'s row lookups, and only those, through a :class:`KeyRecorder`; returns the list of keys
+    asked.  ``engine.residual_table`` reads the base model's own table."""
+    rows = KeyRecorder(view.base.rows)
     view._get = rows.get
     return rows.asked
 
@@ -562,8 +572,9 @@ class TestWindowSizedQueries:
     @pytest.mark.parametrize("target_order,draft_order", [(3, 2), (4, 4), (2, 1)])
     def test_models_never_see_more_than_their_window(self, target_order, draft_order):
         """Over long prompts and 128-token outputs, every row lookup keys the
-        base model's row table with exactly ``order - 1`` ids, however long
-        the prefix has grown."""
+        base model's row table with the code of at most ``order - 1`` ids,
+        below ``(V + 1)**(order - 1)``, however long the prefix has grown, and
+        full windows, at or above ``(V + 1)**(order - 2)``, are looked up."""
         rng = np.random.default_rng(73)
         vocab = random_vocab(rng, min_size=8)
         target_base = random_model(rng, vocab, order=target_order)
@@ -581,7 +592,9 @@ class TestWindowSizedQueries:
             ar = autoregressive_generate(target, prompt, 128, mode, RngState(6), stop_on_eos=False)
             assert len(ar) == 128
         for base in (target_base, draft_base):
-            assert base._rows.asked and {len(key) for key in base._rows.asked} == {base.order - 1}
+            mod = (vocab.size + 1) ** (base.order - 1)
+            assert base._rows.asked and all(0 <= key < mod for key in base._rows.asked)
+            assert any(key >= mod // (vocab.size + 1) for key in base._rows.asked)
 
 
 class TestResidualReuse:
@@ -627,9 +640,10 @@ class TestResidualTable:
         """Each target row holds exactly the residual against the draft row
         of its context's suffix, bit-equal to the lazy build in probs, cdf
         and argmax, or none where that residual has no mass."""
-        need = draft.order - 1
-        for ctx, q in target.rows.items():
-            p = draft.rows.get(ctx[len(ctx) - need :], draft._uniform)
+        need, size = draft.order - 1, target.vocab.size
+        for ctx in target.contexts:
+            q = target.rows[code(ctx, size)]
+            p = draft.rows.get(code(ctx[len(ctx) - need :], size), draft._uniform)
             try:
                 want = normalize(np.maximum(q.probs - p.probs, 0.0))
             except AllZeroError:
@@ -659,8 +673,8 @@ class TestResidualTable:
     def test_built_residual_keeps_its_identity(self):
         seqs, vocab = bundled_corpus()
         target, draft = train_ngram(seqs, 3, 0.1, vocab), train_ngram(seqs, 2, 0.1, vocab)
-        ctx, q = list(target.rows.items())[5]
-        p = draft.rows[ctx[1:]]
+        ctx = target.contexts[5]
+        q, p = target.rows[code(ctx, vocab.size)], draft.rows[code(ctx[1:], vocab.size)]
         built = residual_dist(q, p)  # a pair with residual mass
         residual_table(target, draft)
         assert q.residuals[p] is built and residual_dist(q, p) is built

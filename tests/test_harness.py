@@ -500,6 +500,39 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=reason):
             replace(self.base(gammas=(1,), max_new_tokens=8), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("cost_c", True, "a number"),
+            ("cost_c", "0.5", "a number"),
+            ("cost_c", None, "a number"),
+            ("stop_on_eos", "no", "a boolean"),
+            ("stop_on_eos", 0, "a boolean"),
+            ("draft_uses_image", 1, "a boolean"),
+            ("draft_uses_image", None, "a boolean"),
+        ],
+    )
+    def test_direct_build_rejects_wrong_kinds(self, field, value, kind):
+        """Built directly or by ``replace``, a config rejects a cost that is
+        not a number, or a flag that is not a bool, by name.  ``cost_c=True``
+        was echoed as ``true``, ``cost_c="0.5"`` raised a bare TypeError, and
+        ``stop_on_eos="no"`` ran with the EOS stop while the report echoed
+        ``"no"``."""
+        reason = re.escape(f"config field {field} must be {kind}, got {value!r}")
+        with pytest.raises(ValueError, match=reason):
+            self.base(**{field: value})
+        with pytest.raises(ValueError, match=reason):
+            replace(self.base(gammas=(1,), max_new_tokens=8), **{field: value})
+
+    def test_direct_build_takes_numbers_and_bools(self):
+        """An integer or float cost, numpy's float64 among them, and bool flags
+        build, and the report echoes them as given."""
+        for cost in (1, 0.5, np.float64(0.25)):
+            for flag in (True, False):
+                cfg = self.base(cost_c=cost, stop_on_eos=flag, draft_uses_image=flag)
+                echo = cfg.summary()
+                assert (echo["cost_c"], echo["stop_on_eos"], echo["draft_uses_image"]) == (cost, flag, flag)
+
     def test_direct_build_takes_numpy_integers_as_int(self):
         cfg = self.base(seed=np.uint64(2**64 - 1), gammas=(np.int32(2), 3), max_new_tokens=np.int64(8))
         assert (cfg.seed, cfg.gammas, cfg.max_new_tokens) == (2**64 - 1, (2, 3), 8)

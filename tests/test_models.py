@@ -11,6 +11,8 @@ import pytest
 
 from helpers import (
     assert_drawn,
+    code,
+    context,
     flat_next_dist,
     flat_score_block,
     loop_train_ngram,
@@ -55,7 +57,7 @@ class TestTrainNgram:
     def test_bos_padding_defines_first_position(self):
         """With order 2 the empty prefix maps to the BOS context."""
         m = train_ngram([[1, 0], [1, 1]], order=2, alpha=1.0, vocab=VOCAB2)
-        assert m.context(()) == (BOS,)
+        assert context(m, ()) == (BOS,)
         # both sequences start with 1: counts [0, 2] -> (0+1)/(2+2), (2+1)/(2+2)
         np.testing.assert_allclose(flat_next_dist(m, []).probs, [0.25, 0.75])
 
@@ -277,10 +279,10 @@ class TestRowMemo:
         for m in models:
             assert m._rows is None
             rows = m.rows
-            assert list(rows) == list(m.contexts)
+            assert list(rows) == [code(ctx, m.vocab.size) for ctx in m.contexts]
             for ctx, counts in zip(m.contexts, m.counts):
                 want = (counts + m.alpha) / (int(counts.sum()) + m.alpha * m.vocab.size)
-                assert rows[ctx].probs.tobytes() == want.tobytes()
+                assert rows[code(ctx, m.vocab.size)].probs.tobytes() == want.tobytes()
 
     def test_unseen_context_is_the_shared_uniform_row(self):
         m = train_ngram([[0, 1, 0, 1]], order=3, alpha=1.0, vocab=Vocab(size=4, eos=0))
@@ -289,7 +291,7 @@ class TestRowMemo:
         assert flat_score_block(m, (3,), (3,))[1] is m._uniform
         assert view.next_dist(MultimodalPrompt((), (3,)), [3]) is m._uniform
         assert view.next_dist(MultimodalPrompt((), (3, 3))) is m._uniform
-        assert (3, 3) not in m.rows
+        assert code((3, 3), 4) not in m.rows
 
     def test_table_does_not_grow(self):
         """A 128-token stochastic run through both views, which reaches
@@ -304,7 +306,7 @@ class TestRowMemo:
         out, _ = spd_generate(target, draft, prompt, cfg, RngState(3))
         ar = autoregressive_generate(target, prompt, 128, "stochastic", RngState(4), stop_on_eos=False)
         assert len(out) == len(ar) == 128
-        assert any(tuple(seq[i : i + 2]) not in rows for seq in (out, ar) for i in range(126))
+        assert any(code(seq[i : i + 2], vocab.size) not in rows for seq in (out, ar) for i in range(126))
         assert base.rows is rows and len(rows) == size == len(base.contexts)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -360,8 +362,8 @@ class TestRowMemo:
 
 
 def payload_rows(payload):
-    """Smoothed row per context of a parsed ``ngram-v2`` payload, by a plain
-    loop over its count triples."""
+    """Smoothed row per context code of a parsed ``ngram-v2`` payload, by a
+    plain loop over its count triples."""
     size, alpha = payload["vocab_size"], float(payload["alpha"])
     rows = {}
     for i, ctx in enumerate(payload["contexts"]):
@@ -369,7 +371,7 @@ def payload_rows(payload):
         for index, tok, count in payload["counts"]:
             if index == i:
                 arr[tok] = count
-        rows[tuple(ctx)] = (arr + alpha) / (int(arr.sum()) + alpha * size)
+        rows[code(ctx, size)] = (arr + alpha) / (int(arr.sum()) + alpha * size)
     return rows
 
 
@@ -706,10 +708,30 @@ class TestPromptViews:
         base = self._image_sensitive_model()
         target = MultimodalTargetLm(base)
         prompt = MultimodalPrompt(image_ctx=(1,), text=(2,))
-        assert target.next_dist(prompt) is flat_next_dist(base, (1, 2)) is base.rows[(1, 2)]
+        assert target.next_dist(prompt) is flat_next_dist(base, (1, 2)) is base.rows[code((1, 2), 4)]
         assert target.next_dist(prompt, (3,)) is flat_next_dist(base, (2, 3))
         short = MultimodalPrompt(image_ctx=(), text=(0,))
-        assert target.next_dist(short) is flat_next_dist(base, (0,)) is base.rows[(BOS, 0)]
+        assert target.next_dist(short) is flat_next_dist(base, (0,)) is base.rows[code((BOS, 0), 4)]
+
+    def test_out_of_vocab_prompt_window_rejected(self):
+        """An id outside the vocabulary in the window a prompt gives the
+        views is refused by name, not coded as another window's id: id V
+        carries into the next digit and -1 is BOS padding's digit.  Ids
+        outside the window are never read."""
+        base = self._image_sensitive_model()
+        target, draft = MultimodalTargetLm(base), TextOnlyDraftLm(base)
+        for view, prompt in (
+            (target, MultimodalPrompt(image_ctx=(4,), text=(2,))),
+            (target, MultimodalPrompt(image_ctx=(), text=(1, -1))),
+            (draft, MultimodalPrompt(image_ctx=(), text=(-2, 3))),
+            (draft, MultimodalPrompt(image_ctx=(1,), text=(2**70,))),
+        ):
+            for query in (view.next_dist, lambda p, g: view.walk(p, g, 3), lambda p, g: view.score_block(p, g, (1,))):
+                with pytest.raises(ValueError, match="holds an id outside the vocab of size 4"):
+                    query(prompt, ())
+            assert view.next_dist(prompt, (1, 2)) is flat_next_dist(base, (1, 2))
+        assert draft.next_dist(MultimodalPrompt(image_ctx=(4,), text=(2,))) is flat_next_dist(base, (2,))
+        assert target.next_dist(MultimodalPrompt(image_ctx=(), text=(9, 1, 2))) is flat_next_dist(base, (1, 2))
 
     def test_image_ctx_changes_target_dist(self):
         """Same text, different image ids: windows (0,2) vs (1,2) differ."""
@@ -779,18 +801,10 @@ class TestPromptViews:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_views_hand_out_memoized_rows_without_model_calls(self, order, monkeypatch):
         """A view's ``next_dist`` and each ``score_block`` entry are the very row
-        objects ``base.next_dist``/``base.score_block`` return for the whole flat
-        prefix, also for outputs shorter than the window and for order 1 (key
-        ``()``); a repeated query calls no ``NgramLm`` method and does not
-        touch the table's builder."""
+        objects the flat-prefix reference reads for the whole flat prefix,
+        also for outputs shorter than the window and for order 1 (code 0); a
+        repeated query does not touch the table's builder."""
         calls = Counter()
-        for name in ("context",):
-
-            def spy(*args, _name=name, _original=getattr(NgramLm, name)):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(NgramLm, name, spy)
         build = NgramLm.rows.fget
         monkeypatch.setattr(NgramLm, "rows", property(lambda self: calls.update(["rows"]) or build(self)))
         rng = np.random.default_rng(400 + order)
@@ -812,13 +826,61 @@ class TestPromptViews:
                 assert len(rows) == len(want) == len(block) + 1
                 assert all(got is w for got, w in zip(rows, want))
                 queries.append((view, prompt, gen, block, row, rows))
-        assert calls["rows"] > 0 and calls["context"] > 0  # the spies are live
+        assert calls["rows"] > 0  # the spy is live
         calls.clear()
         for view, prompt, gen, block, row, rows in queries:
             assert view.next_dist(prompt, gen) is row
             again = view.score_block(prompt, gen, block)
             assert len(again) == len(rows) and all(got is w for got, w in zip(again, rows))
         assert not calls
+
+
+class TestWindowCodes:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_views_read_the_rows_of_tuple_windows(self, order):
+        """Over random models and vocabularies, prompts with and without image
+        context, text shorter than the window, and outputs from empty to two
+        ids longer than the window, ``next_dist``, each row of a greedy and a
+        stochastic ``walk``, and each ``score_block`` entry are the very row
+        that the flat prefix's BOS-padded tuple window names in ``contexts``,
+        or the shared uniform row where no context is that window."""
+        rng = np.random.default_rng(600 + order)
+        need = order - 1
+        checked = Counter()
+        for trial in range(60):
+            vocab = random_vocab(rng, max_size=12)
+            base = random_model(rng, vocab, order=order, n_seqs=int(rng.integers(2, 40)))
+            assert len(base.rows) == len(base.contexts)
+            by_window = dict(zip(base.contexts, base.rows.values()))
+            for i, row in enumerate(by_window.values()):
+                assert row.probs.tobytes() == base.probs[i].tobytes()
+
+            def want(prefix):
+                return by_window.get(context(base, prefix), base._uniform)
+
+            for _ in range(10):
+                prompt = random_prompt(rng, vocab, max_image=0 if trial % 3 == 0 else 4, max_text=order)
+                gen = rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist()
+                block = rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist()
+                n = int(rng.integers(0, need + 4))
+                for view, head in (
+                    (MultimodalTargetLm(base), prompt.image_ctx + prompt.text),
+                    (TextOnlyDraftLm(base), prompt.text),
+                ):
+                    flat = list(head) + gen
+                    assert view.next_dist(prompt, gen) is want(flat)
+                    rows = view.score_block(prompt, gen, block)
+                    assert len(rows) == len(block) + 1
+                    assert all(row is want(flat + block[:j]) for j, row in enumerate(rows))
+                    for walk_rng in (None, RngState(trial)):
+                        tokens, rows = view.walk(prompt, gen, n, walk_rng)
+                        assert len(tokens) == len(rows) == n
+                        assert all(row is want(flat + tokens[:j]) for j, row in enumerate(rows))
+                    checked["short output"] += len(gen) < need
+                    checked["short text"] += len(head) < need
+                    checked["unseen"] += want(flat) is base._uniform
+                    checked["seen"] += want(flat) is not base._uniform
+        assert order < 3 or min(checked.values()) > 0, checked
 
 
 class TestWalk:
