@@ -22,6 +22,7 @@ __all__ = [
     "TokenId",
     "Vocab",
     "argmax",
+    "is_integer",
     "normalize",
     "sample",
 ]
@@ -155,13 +156,14 @@ class RngState:
     __slots__ = ("seed", "stream", "_gen", "_batch")
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()) -> None:
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.seed = seed
-        self.stream = (stream,) if isinstance(stream, int) else tuple(int(s) for s in stream)
-        if self.stream and min(self.stream) < 0:
-            raise ValueError(f"stream ids must be non-negative integers, got stream {self.stream}")
+        # int() would truncate a float and read a bool as 0 or 1, so only integers, numpy ones too, pass
+        if not (is_integer(seed) and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        self.seed = int(seed)
+        ids = tuple(stream) if isinstance(stream, (tuple, list)) else (stream,)
+        if not all(map(is_integer, ids)) or min(ids, default=0) < 0:
+            raise ValueError(f"stream ids must be non-negative integers, got stream {ids!r}")
+        self.stream = tuple(map(int, ids))
         self._gen: np.random.Generator | None = None
         self._batch: list[float] = []  # the rest of the current batch, last draw first
 
@@ -210,6 +212,11 @@ class RngState:
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, stream={self.stream})"
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:

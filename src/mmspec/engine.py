@@ -14,7 +14,9 @@ target.
 A round builds little beyond what it returns: drafting is one walk of
 the draft view (:meth:`~mmspec.models.PromptConditionedLm.walk`), which
 keys each row after the first by shifting the last key by the token just
-drawn and never touches the caller's output; the baseline is one walk of
+drawn and never touches the caller's output; from the second block on, the
+walk and the target's scoring start from window codes the loop carries
+from block to block; the baseline is one walk of
 the target view; verification reads rows as floats through
 ``ProbDist.values``; and a greedy run derives no random stream at all.
 """
@@ -26,7 +28,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from mmspec.core import AllZeroError, MultimodalPrompt, ProbDist, RngState, TokenId, argmax, normalize, sample
+from mmspec.core import (
+    AllZeroError,
+    MultimodalPrompt,
+    ProbDist,
+    RngState,
+    TokenId,
+    argmax,
+    is_integer,
+    normalize,
+    sample,
+)
 from mmspec.models import NgramLm, PromptConditionedLm
 
 __all__ = [
@@ -77,12 +89,23 @@ class SpdConfig:
     stop_on_eos: bool = True
 
     def __post_init__(self) -> None:
+        # unchecked, a float fails only inside the walk, as a bare TypeError, and True or 'no' runs as 1 or True
+        for name in ("gamma", "max_new_tokens"):
+            _check_integer(name, getattr(self, name))
+        if type(self.stop_on_eos) is not bool:
+            raise ValueError(f"stop_on_eos must be a bool, got {self.stop_on_eos!r}")
         if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+
+
+def _check_integer(name: str, value: object) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer, numpy's included, other than a bool."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BlockRecord(NamedTuple):
@@ -170,13 +193,16 @@ def draft_block(
     gamma: int,
     rng: RngState | None,
     mode: str = "stochastic",
+    key: int | None = None,
 ) -> tuple[tuple[TokenId, ...], list[ProbDist]]:
     """Draft ``gamma`` tokens autoregressively: returns ``(tokens, dists)``, each token's draft row.
 
     Drafting never stops early — a draft-predicted EOS is proposed and
     verified like any other token.  The block is one :meth:`walk
     <mmspec.models.PromptConditionedLm.walk>` of the draft view, which never
-    changes ``generated``.  In greedy mode ``rng`` is unused.
+    changes ``generated``; ``key``, if given, is ``generated``'s window code
+    in the draft view, which :func:`spd_generate` carries from block to
+    block.  In greedy mode ``rng`` is unused.
 
     Raises:
         ValueError: for an unknown ``mode``, or stochastic mode without an ``rng``.
@@ -185,7 +211,7 @@ def draft_block(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
-    tokens, dists = draft.walk(prompt, generated, gamma, None if mode == "greedy" else rng)
+    tokens, dists = draft.walk(prompt, generated, gamma, None if mode == "greedy" else rng, None, key)
     return tuple(tokens), dists
 
 
@@ -283,6 +309,13 @@ def spd_generate(
     the text-side prefix — never on image context or verification outcomes
     inside a block.  Greedy mode never reads ``rng``; it may be ``None``.
     Verification gets the models until their :func:`residual_table` is built.
+
+    The loop folds each view's window code once per run and shifts it by
+    every block's emitted tokens
+    (:meth:`~mmspec.models.PromptConditionedLm.shift`), so drafting and
+    scoring start from that code instead of folding the output's tail
+    again.  Only the first block's draft walk keys itself, which takes its
+    first row from ``next_dist``.
     """
     gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
     greedy, base = mode == "greedy", (target.base, draft.base)
@@ -299,9 +332,11 @@ def spd_generate(
     out: list[TokenId] = []
     trace = BlockTrace()
     blocks = trace.blocks
+    draft_key, target_key = draft._key(prompt, out), target._key(prompt, out)  # the codes of ``out``'s window
     while True:
-        tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, mode)
-        target_dists = target.score_block(prompt, out, tokens)
+        # the first block's walk keys itself, so next_dist, which perfbench patches, still runs once per run
+        tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, mode, draft_key if blocks else None)
+        target_dists = target.score_block(prompt, out, tokens, target_key)
         if greedy:
             record = verify_greedy(target_dists, tokens)
         else:
@@ -311,6 +346,7 @@ def spd_generate(
         if len(emitted) < room and not (stop_on_eos and eos in emitted):
             out += emitted
             blocks.append(record)
+            draft_key, target_key = draft.shift(draft_key, emitted), target.shift(target_key, emitted)
             continue
         # EOS or the length limit ends the run with this block.
         if stop_on_eos and eos in emitted:
@@ -337,6 +373,8 @@ def autoregressive_generate(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
+    if type(max_new_tokens) is not int:  # an int skips the call: a 12-token greedy baseline run takes ~6 us
+        _check_integer("max_new_tokens", max_new_tokens)
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     stop = target.vocab.eos if stop_on_eos else None

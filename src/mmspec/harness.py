@@ -19,11 +19,10 @@ import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
-from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab
+from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, is_integer
 from mmspec.engine import (
     BlockTrace,
     SpdConfig,
@@ -491,7 +490,7 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
 
 def _integer(name: str, value: object) -> int:
     """``value`` as an int, if it is an integer and not a bool; else a ValueError naming config field ``name``."""
-    if type(value) is bool or not isinstance(value, Integral):
+    if not is_integer(value):
         raise ValueError(f"config field {name} must be an integer, got {value!r}")
     return int(value)
 

@@ -384,7 +384,10 @@ class PromptConditionedLm:
     output fills the window the code is a fold of the output's tail.  Before
     that it is the code of the prompt's tail, computed once per prompt, with
     each output id shifted in; BOS padding is digit 0, so it costs nothing.
-    A key moves on by one token as ``(key * base + tok + 1) % base**need``."""
+    A key moves on by one token as ``(key * base + tok + 1) % base**need``,
+    and by a run of tokens with :meth:`shift`; a caller that carries a code
+    hands it to :meth:`walk` and :meth:`score_block`, which then fold
+    nothing."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
@@ -393,6 +396,7 @@ class PromptConditionedLm:
         self._need = base.order - 1
         self._base = base.vocab.size + 1
         self._mod = base.code_mod  # 1 for order 1, whose key stays 0
+        self._last = slice(-self._need, None) if self._need else slice(0)  # the ids of a sequence a window keeps
         self._get = base.rows.get
         self._uniform = base._uniform
         self._tail: tuple[MultimodalPrompt | None, int] = (None, 0)  # (prompt, its tail's code)
@@ -421,6 +425,14 @@ class PromptConditionedLm:
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
         return self._get(self._key(prompt, generated), self._uniform)
 
+    def shift(self, key: int, tokens: Sequence[TokenId]) -> int:
+        """``key`` moved on by ``tokens``: the code of the window that ends with them.  Only the last ``need`` ids
+        stay in a window, so only they are shifted in; ``need`` shifts push every digit of ``key`` out."""
+        base, mod = self._base, self._mod
+        for tok in tokens[self._last]:
+            key = (key * base + tok + 1) % mod
+        return key
+
     def walk(
         self,
         prompt: MultimodalPrompt,
@@ -428,21 +440,25 @@ class PromptConditionedLm:
         n: int,
         rng: RngState | None = None,
         stop: TokenId | None = None,
+        key: int | None = None,
     ) -> tuple[list[TokenId], list[ProbDist]]:
         """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
         each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk takes ``n`` draws
         at once, bisects each row's cdf with its own draw, as :func:`sample` does, and gives back the draws of the
-        tokens a stop cut off.  The first row is :meth:`next_dist`'s, which perfbench patches, so its key is built
-        again for the rest; each later key is the last one shifted by the token just drawn, and ``generated`` is
-        never changed."""
+        tokens a stop cut off.  ``key``, if given, is ``generated``'s window code, which the caller carries;
+        without it the first row is :meth:`next_dist`'s, which perfbench patches, and its key is built again for
+        the rest.  Each later key is the last one shifted by the token just drawn, and ``generated`` is never
+        changed."""
         if n < 1:
             return [], []
-        row = self.next_dist(prompt, generated)
+        row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)
         draws = None if rng is None else rng.take(n)
         tok = row._top if draws is None else bisect_right(row.cdf, draws[0])
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
-            key, base, mod, get, uniform = self._key(prompt, generated), self._base, self._mod, self._get, self._uniform
+            if key is None:
+                key = self._key(prompt, generated)
+            base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
             for i in range(1, n):
                 key = (key * base + tok + 1) % mod
                 row = get(key, uniform)
@@ -456,9 +472,17 @@ class PromptConditionedLm:
         return tokens, rows
 
     def score_block(
-        self, prompt: MultimodalPrompt, generated: Sequence[TokenId], block: Sequence[TokenId]
+        self,
+        prompt: MultimodalPrompt,
+        generated: Sequence[TokenId],
+        block: Sequence[TokenId],
+        key: int | None = None,
     ) -> list[ProbDist]:
-        key, base, mod, get, uniform = self._key(prompt, generated), self._base, self._mod, self._get, self._uniform
+        """The rows after ``generated`` and after each prefix of ``block``; ``key``, if given, is ``generated``'s
+        window code, which the caller carries."""
+        if key is None:
+            key = self._key(prompt, generated)
+        base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
         dists = [get(key, uniform)]  # a loop: on Python 3.11 a comprehension costs a frame per call
         for tok in block:
             key = (key * base + tok + 1) % mod

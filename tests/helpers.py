@@ -3,7 +3,16 @@
 import numpy as np
 
 from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab, argmax, sample
-from mmspec.engine import BlockRecord, BlockTrace
+from mmspec.engine import (
+    STREAM_DRAFT,
+    STREAM_RESAMPLE,
+    STREAM_VERIFY,
+    BlockRecord,
+    BlockTrace,
+    draft_block,
+    verify_greedy,
+    verify_stochastic,
+)
 from mmspec.harness import CharTokenizer, demo_corpus_path
 from mmspec.models import BOS, NgramLm, train_ngram
 
@@ -94,6 +103,32 @@ def loop_walk(view, prompt, generated, n, rng=None, stop=None):
         if tok == stop:
             break
     return tokens, rows
+
+
+def keyless_spd_generate(target, draft, prompt, cfg, rng):
+    """The reference ``spd_generate`` is checked against: the loop before it
+    carried window codes, in which every block keys its draft walk and its
+    target scoring from ``(prompt, out)``, so each block's first draft row is
+    a ``next_dist`` call.  Residuals are built lazily, which gives the same
+    rows as ``residual_table``."""
+    greedy = cfg.mode == "greedy"
+    streams = [None] * 3 if greedy else [rng.substream(s) for s in (STREAM_DRAFT, STREAM_VERIFY, STREAM_RESAMPLE)]
+    eos, out, blocks = target.vocab.eos, [], []
+    while True:
+        tokens, dists = draft_block(draft, prompt, out, cfg.gamma, streams[0], cfg.mode)
+        target_dists = target.score_block(prompt, out, tokens)
+        if greedy:
+            record = verify_greedy(target_dists, tokens)
+        else:
+            record = verify_stochastic(target_dists, tokens, dists, *streams[1:])
+        emitted = record.emitted
+        if cfg.stop_on_eos and eos in emitted:
+            emitted = emitted[: emitted.index(eos) + 1]
+        emitted = emitted[: cfg.max_new_tokens - len(out)]
+        out += emitted
+        blocks.append(record._replace(emitted=emitted))
+        if len(out) == cfg.max_new_tokens or (cfg.stop_on_eos and eos in emitted):
+            return out, BlockTrace(blocks)
 
 
 def cumsum_sample(dist, u):

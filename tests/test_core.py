@@ -402,5 +402,34 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(2**64)
 
+    @pytest.mark.parametrize(
+        "seed, stream, shown",
+        [
+            (1.5, (2, 1), "seed must be an unsigned 64-bit integer, got 1.5"),
+            (True, (), "seed must be an unsigned 64-bit integer, got True"),
+            (np.float64(3.0), (), f"got {np.float64(3.0)!r}"),
+            ("7", (), "got '7'"),
+            (1, (2.7, True), "got stream (2.7, True)"),
+            (1, (1, False), "got stream (1, False)"),
+            (1, True, "got stream (True,)"),
+            (1, 1.5, "got stream (1.5,)"),
+            (1, (np.bool_(True),), f"got stream {(np.bool_(True),)!r}"),
+            (1, "ab", "got stream ('ab',)"),
+        ],
+    )
+    def test_non_integer_seed_or_stream_rejected(self, seed, stream, shown):
+        """A float, a bool or any other non-integer seed or stream id is
+        refused by value; ``int()`` would have truncated it to another
+        stream's address."""
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            RngState(seed, stream)
+
+    def test_numpy_integers_accepted(self):
+        rng = RngState(np.uint64(5), (np.int32(2), np.int64(2**40)))
+        assert rng.seed == 5 and rng.stream == (2, 2**40)
+        assert type(rng.seed) is int and all(type(s) is int for s in rng.stream)
+        assert rng.uniform() == RngState(5, (2, 2**40)).uniform()
+        assert RngState(5, [1, 2]).stream == (1, 2)
+
     def test_int_stream_equivalent_to_tuple(self):
         assert RngState(9, 4).uniform() == RngState(9, (4,)).uniform()

@@ -10,6 +10,7 @@ from helpers import (
     assert_drawn,
     bundled_corpus,
     code,
+    keyless_spd_generate,
     random_dist,
     random_model,
     random_prompt,
@@ -63,6 +64,32 @@ class KeyRecorder(dict):
         return super().get(key, default)
 
 
+class CodeChecker:
+    """View mixin that records the window code each walk and score_block is
+    given, and checks it against the view's own ``_key`` of the output."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.codes = []
+
+    def _given(self, prompt, generated, key):
+        self.codes.append(key)
+        assert key is None or key == self._key(prompt, generated), (key, list(generated))
+
+    def walk(self, prompt, generated, n, rng=None, stop=None, key=None):
+        self._given(prompt, generated, key)
+        return super().walk(prompt, generated, n, rng, stop, key)
+
+    def score_block(self, prompt, generated, block, key=None):
+        self._given(prompt, generated, key)
+        return super().score_block(prompt, generated, block, key)
+
+
+def code_checked(view_class, base):
+    """A ``view_class`` view of ``base`` that is also a :class:`CodeChecker`."""
+    return type(f"Checked{view_class.__name__}", (CodeChecker, view_class), {})(base)
+
+
 class SpyTarget(QueryCounter, MultimodalTargetLm):
     pass
 
@@ -94,6 +121,37 @@ class TestConfigTypes:
             SpdConfig(gamma=1, mode="beam")
         with pytest.raises(ValueError):
             SpdConfig(gamma=1, max_new_tokens=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"gamma": 2.5}, "gamma"),
+            ({"gamma": True}, "gamma"),
+            ({"gamma": np.float64(3.0)}, "gamma"),
+            ({"gamma": 2, "max_new_tokens": 3.5}, "max_new_tokens"),
+            ({"gamma": 2, "max_new_tokens": True}, "max_new_tokens"),
+            ({"gamma": 2, "stop_on_eos": "no"}, "stop_on_eos"),
+            ({"gamma": 2, "stop_on_eos": 0}, "stop_on_eos"),
+        ],
+    )
+    def test_spd_config_rejects_wrong_kinds(self, fields, name):
+        """A float or bool count and a non-bool flag are refused by name when
+        the config is built; unchecked, a float failed inside the walk as a
+        bare TypeError and ``True`` or ``'no'`` ran as 1 or ``True``."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SpdConfig(**fields)
+
+    def test_spd_config_takes_numpy_integers(self):
+        cfg = SpdConfig(gamma=np.int64(3), max_new_tokens=np.int32(5), stop_on_eos=False)
+        assert (cfg.gamma, cfg.max_new_tokens, cfg.stop_on_eos) == (3, 5, False)
+
+    @pytest.mark.parametrize("max_new_tokens", [3.5, True, "4"])
+    def test_autoregressive_rejects_non_integer_length(self, max_new_tokens):
+        rng = np.random.default_rng(70)
+        vocab = random_vocab(rng)
+        target, _ = make_pair(rng, vocab)
+        with pytest.raises(ValueError, match="^max_new_tokens must be an integer"):
+            autoregressive_generate(target, random_prompt(rng, vocab), max_new_tokens)
 
     def test_records_reject_attribute_assignment(self):
         record = BlockRecord((1,), 1, (1, 0), "bonus")
@@ -391,8 +449,9 @@ class TestSpdGenerate:
 
     def test_trace_accounting(self):
         """The trace's derived counts equal the model queries actually made:
-        per block, one target score_block, and one draft walk, whose first
-        row is a next_dist call and whose gamma - 1 others are row lookups."""
+        per block, one target score_block and one draft walk.  Only the first
+        block's walk calls next_dist; later blocks start from the window code
+        the loop carries.  Either way every drafted token is one row lookup."""
         rng = np.random.default_rng(65)
         for trial in range(25):
             vocab = random_vocab(rng)
@@ -404,14 +463,48 @@ class TestSpdGenerate:
             cfg = SpdConfig(gamma=gamma, mode=mode, max_new_tokens=32)
             out, trace = spd_generate(target, draft, prompt, cfg, RngState(trial))
             assert target.queries == Counter(score_block=trace.target_calls)
-            assert draft.queries == Counter(next_dist=trace.target_calls)
-            walk_lookups = len(lookups) - trace.target_calls  # each next_dist call makes one lookup of its own
-            assert walk_lookups == trace.draft_calls - trace.target_calls
+            assert draft.queries == Counter(next_dist=1)
+            assert len(lookups) == trace.draft_calls
             assert trace.draft_calls == gamma * trace.target_calls
             assert trace.total_emitted == len(out)
             for b in trace.blocks:
                 assert 1 <= len(b.emitted) <= gamma + 1
                 assert (b.accepted == gamma) == (b.correction_kind == "bonus")
+
+    @pytest.mark.parametrize("draft_view", [TextOnlyDraftLm, MultimodalTargetLm])
+    def test_carried_codes_are_the_views_own(self, draft_view):
+        """Over random models of order 1-4, a text-only or an image-aware
+        draft, prompts shorter than the window, EOS truncation on and off, and
+        greedy and stochastic runs, every block is scored from, and every
+        block after the first drafted from, the code ``_key(prompt, out)``
+        gives the view; the first block's draft walk is handed none, so it
+        keys itself.  The output and trace equal the reference loop's, which
+        keys every block from ``(prompt, out)``."""
+        rng = np.random.default_rng(80)
+        checked = Counter()
+        for trial in range(120):
+            vocab = random_vocab(rng, max_size=10)
+            target_base = random_model(rng, vocab, order=int(rng.integers(1, 5)))
+            draft_base = random_model(rng, vocab, order=int(rng.integers(1, 5)))
+            target, draft = code_checked(MultimodalTargetLm, target_base), code_checked(draft_view, draft_base)
+            prompt = random_prompt(rng, vocab, max_image=int(rng.integers(0, 3)), max_text=2)
+            cfg = SpdConfig(
+                gamma=int(rng.integers(1, 6)),
+                mode=("greedy", "stochastic")[trial % 2],
+                max_new_tokens=int(rng.integers(1, 40)),
+                stop_on_eos=trial % 4 < 2,
+            )
+            out, trace = spd_generate(target, draft, prompt, cfg, RngState(trial))
+            assert len(target.codes) == len(draft.codes) == trace.target_calls
+            assert draft.codes[0] is None and None not in draft.codes[1:] + target.codes
+            reference = (MultimodalTargetLm(target_base), draft_view(draft_base), prompt, cfg, RngState(trial))
+            assert (out, trace) == keyless_spd_generate(*reference)
+            checked["short prompt"] += len(prompt.text) < max(target_base.order, draft_base.order) - 1
+            checked["EOS stop"] += cfg.stop_on_eos and out[-1] == vocab.eos
+            checked["EOS passed"] += not cfg.stop_on_eos and vocab.eos in out[:-1]
+            checked["length limit"] += len(out) == cfg.max_new_tokens
+            checked["several blocks"] += trace.target_calls > 1
+        assert min(checked.values()) > 0, checked
 
     def test_stochastic_seed_determinism(self):
         rng = np.random.default_rng(66)

@@ -882,6 +882,37 @@ class TestWindowCodes:
                     checked["seen"] += want(flat) is not base._uniform
         assert order < 3 or min(checked.values()) > 0, checked
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_shift_and_given_codes(self, order):
+        """``shift`` moves a view's code by a run of tokens exactly as ``_key``
+        folds the longer output, for outputs and runs both shorter and longer
+        than the window; and a ``walk`` or ``score_block`` given the output's
+        code returns the same tokens and the very same rows, and leaves its
+        stream where the per-token reference leaves it, without a ``next_dist``
+        call."""
+        rng = np.random.default_rng(620 + order)
+        need = order - 1
+        for trial in range(40):
+            vocab = random_vocab(rng, max_size=12)
+            base = random_model(rng, vocab, order=order)
+            for view in (MultimodalTargetLm(base), TextOnlyDraftLm(base)):
+                view.next_dist = None  # a given code must not need it
+                for _ in range(5):
+                    prompt = random_prompt(rng, vocab, max_text=order)
+                    gen = rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist()
+                    more = tuple(rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist())
+                    key = view._key(prompt, gen)
+                    assert view.shift(key, more) == view._key(prompt, gen + list(more))
+                    rows = view.score_block(prompt, gen, more, key)
+                    assert all(a is b for a, b in zip(rows, view.score_block(prompt, gen, more), strict=True))
+                    n, stop = int(rng.integers(0, need + 4)), int(rng.integers(0, vocab.size))
+                    for streams in ((None, None), (RngState(trial), RngState(trial))):
+                        tokens, rows = view.walk(prompt, gen, n, streams[0], stop, key)
+                        want_tokens, want_rows = loop_walk(type(view)(base), prompt, gen, n, streams[1], stop)
+                        assert tokens == want_tokens
+                        assert all(a is b for a, b in zip(rows, want_rows, strict=True))
+                        assert streams[0] is None or streams[0].uniform() == streams[1].uniform()
+
 
 class TestWalk:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
