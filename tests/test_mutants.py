@@ -37,8 +37,8 @@ KILLED_NEG = Mutant("src/pkg/neg.py", "return -x", "return x", "neg is the ident
 SURVIVOR = Mutant("src/pkg/neg.py", "return 1", "return 2", "unused returns 2")
 
 
-def run_main(capsys, package, chosen, argv=()):
-    code = mutants.main(list(argv), chosen, PYTEST, package)
+def run_main(capsys, package, chosen):
+    code = mutants.main(chosen, PYTEST, package)
     return code, capsys.readouterr().out.splitlines()
 
 
@@ -86,39 +86,31 @@ class TestReport:
         assert code == 0 and int(limit) == mutants.MEMORY_LIMIT_BYTES
         assert Path(path) == package / "src" / "pkg" / "add.py"
 
-    def test_killed_mutants_name_their_first_failing_test(self, capsys, package):
-        code, lines = run_main(capsys, package, [KILLED_ADD, KILLED_NEG])
-        assert code == 0
-        assert lines == [
-            " 1. src/pkg/add.py: add subtracts: tests/test_pkg.py::test_add",
-            " 2. src/pkg/neg.py: neg is the identity: tests/test_pkg.py::test_neg",
-            "2 of 2 mutants killed",
+    def test_report_and_exit_code(self, capsys, package):
+        """One run holds a killed mutant, an unapplied one, a survivor and
+        another killed one: each gets its line, in order, and the run
+        carries on past the unapplied entry and the survivor."""
+        stale = Mutant("src/pkg/add.py", "a * b", "a / b", "gone")
+        code, lines = run_main(capsys, package, [KILLED_ADD, stale, SURVIVOR, KILLED_NEG])
+        assert code == 1
+        assert lines[0] == " 1. src/pkg/add.py: add subtracts: tests/test_pkg.py::test_add"
+        assert lines[1].startswith(" 2. src/pkg/add.py: gone: NOT APPLIED: src/pkg/add.py: old text occurs 0 times")
+        assert lines[2:] == [
+            " 3. src/pkg/neg.py: unused returns 2: SURVIVED",
+            " 4. src/pkg/neg.py: neg is the identity: tests/test_pkg.py::test_neg",
+            "2 of 4 mutants killed",
         ]
 
-    def test_survivor_fails_the_run(self, capsys, package):
-        code, lines = run_main(capsys, package, [KILLED_ADD, SURVIVOR])
-        assert code == 1
-        assert lines[1] == " 2. src/pkg/neg.py: unused returns 2: SURVIVED"
-        assert lines[-1] == "1 of 2 mutants killed"
-
-    def test_unapplied_mutant_fails_the_run_and_the_rest_still_run(self, capsys, package):
-        stale = Mutant("src/pkg/add.py", "a * b", "a / b", "gone")
-        code, lines = run_main(capsys, package, [stale, KILLED_NEG])
-        assert code == 1
-        assert lines[0].startswith(" 1. src/pkg/add.py: gone: NOT APPLIED: src/pkg/add.py: old text occurs 0 times")
-        assert lines[1] == " 2. src/pkg/neg.py: neg is the identity: tests/test_pkg.py::test_neg"
-        assert lines[-1] == "1 of 2 mutants killed"
+    def test_all_killed_exits_zero(self, capsys, package):
+        code, lines = run_main(capsys, package, [KILLED_NEG])
+        assert code == 0
+        assert lines == [" 1. src/pkg/neg.py: neg is the identity: tests/test_pkg.py::test_neg", "1 of 1 mutants killed"]
 
     def test_failing_checkout_runs_no_mutant(self, capsys, package):
         (package / "src" / "pkg" / "add.py").write_text("def add(a, b):\n    return 0\n")
         code, lines = run_main(capsys, package, [KILLED_NEG])
         assert code == 2
         assert lines == ["error: the unmutated checkout fails: tests/test_pkg.py::test_add"]
-
-    def test_filter_keeps_numbering(self, capsys, package):
-        code, lines = run_main(capsys, package, [KILLED_ADD, KILLED_NEG, SURVIVOR], ["-k", "neg"])
-        assert code == 0
-        assert lines == [" 2. src/pkg/neg.py: neg is the identity: tests/test_pkg.py::test_neg", "1 of 1 mutants killed"]
 
 
 def test_committed_mutants_still_apply():

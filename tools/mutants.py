@@ -8,7 +8,6 @@ there without the digest tests, with ``-x``.  One line per mutant gives the
 first failing test, or ``SURVIVED``:
 
     python3 tools/mutants.py                 # every mutant, ~10-20 s each
-    python3 tools/mutants.py -k shift        # those whose description holds "shift"
 
 The unmutated copy runs first and must pass.  The exit status is 1 if a
 mutant survived or could not be applied (its ``old`` text no longer occurs
@@ -20,7 +19,6 @@ only; the checkout itself is never written.
 
 from __future__ import annotations
 
-import argparse
 import os
 import resource
 import shutil
@@ -197,25 +195,20 @@ def check(checkout: Path, mutant: Mutant | None, command: Sequence[str] = TIER1)
         return verdict(*run_tests(copy, command))
 
 
-def main(argv: list[str] | None = None, mutants: Sequence[Mutant] = MUTANTS, command: Sequence[str] = TIER1,
-         checkout: Path = ROOT) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose description contains this text")
-    args = parser.parse_args(argv)
-    chosen = [(i, m) for i, m in enumerate(mutants, 1) if args.k in m.breaks]
+def main(mutants: Sequence[Mutant] = MUTANTS, command: Sequence[str] = TIER1, checkout: Path = ROOT) -> int:
     baseline = check(checkout, None, command)
     if baseline != "SURVIVED":  # what a passing run reads as
         print(f"error: the unmutated checkout fails: {baseline}")
         return 2
     bad = 0
-    for i, m in chosen:
+    for i, m in enumerate(mutants, 1):
         try:
             result = check(checkout, m, command)
         except MutantError as exc:
             result = f"NOT APPLIED: {exc}"
         bad += result == "SURVIVED" or result.startswith("NOT APPLIED")
         print(f"{i:2d}. {m.file}: {m.breaks}: {result}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
     return 1 if bad else 0
 
 
