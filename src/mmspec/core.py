@@ -22,6 +22,7 @@ __all__ = [
     "TokenId",
     "Vocab",
     "argmax",
+    "as_integer",
     "is_integer",
     "normalize",
     "sample",
@@ -217,6 +218,14 @@ class RngState:
 def is_integer(value: object) -> bool:
     """Whether ``value`` is a Python or numpy integer other than a bool."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
+def as_integer(name: str, value: object) -> int:
+    """``value`` as an int, if it is an integer, numpy's included, other than a bool; else a ValueError naming
+    ``name``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from mmspec.core import (
     RngState,
     TokenId,
     argmax,
-    is_integer,
+    as_integer,
     normalize,
     sample,
 )
@@ -91,7 +91,7 @@ class SpdConfig:
     def __post_init__(self) -> None:
         # unchecked, a float fails only inside the walk, as a bare TypeError, and True or 'no' runs as 1 or True
         for name in ("gamma", "max_new_tokens"):
-            _check_integer(name, getattr(self, name))
+            as_integer(name, getattr(self, name))
         if type(self.stop_on_eos) is not bool:
             raise ValueError(f"stop_on_eos must be a bool, got {self.stop_on_eos!r}")
         if self.gamma < 1:
@@ -100,12 +100,6 @@ class SpdConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-
-
-def _check_integer(name: str, value: object) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer, numpy's included, other than a bool."""
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BlockRecord(NamedTuple):
@@ -310,12 +304,12 @@ def spd_generate(
     inside a block.  Greedy mode never reads ``rng``; it may be ``None``.
     Verification gets the models until their :func:`residual_table` is built.
 
-    The loop folds each view's window code once per run and shifts it by
+    The loop starts each view's window code from the prompt's
+    (:meth:`~mmspec.models.PromptConditionedLm.start`) and shifts it by
     every block's emitted tokens
     (:meth:`~mmspec.models.PromptConditionedLm.shift`), so drafting and
-    scoring start from that code instead of folding the output's tail
-    again.  Only the first block's draft walk keys itself, which takes its
-    first row from ``next_dist``.
+    scoring start from that code.  Only the first block's draft walk keys
+    itself, which takes its first row from ``next_dist``.
     """
     gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
     greedy, base = mode == "greedy", (target.base, draft.base)
@@ -332,7 +326,7 @@ def spd_generate(
     out: list[TokenId] = []
     trace = BlockTrace()
     blocks = trace.blocks
-    draft_key, target_key = draft._key(prompt, out), target._key(prompt, out)  # the codes of ``out``'s window
+    draft_key, target_key = draft.start(prompt), target.start(prompt)  # the codes of empty ``out``'s windows
     while True:
         # the first block's walk keys itself, so next_dist, which perfbench patches, still runs once per run
         tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, mode, draft_key if blocks else None)
@@ -374,7 +368,7 @@ def autoregressive_generate(
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
     if type(max_new_tokens) is not int:  # an int skips the call, which costs ~5% of a 16-token greedy baseline run
-        _check_integer("max_new_tokens", max_new_tokens)
+        as_integer("max_new_tokens", max_new_tokens)
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     stop = target.vocab.eos if stop_on_eos else None

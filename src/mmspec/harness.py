@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, is_integer
+from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, as_integer
 from mmspec.engine import (
+    MODES,
     BlockTrace,
     SpdConfig,
     autoregressive_generate,
@@ -81,10 +82,6 @@ DEFAULT_ALPHABET = (
 )
 
 TEMPLATES = ("plain", "chat", "caption", "sqa")
-
-# JSON value types a config field of each annotation takes: a bool is no
-# number, and a tuple field takes a list of ints.
-JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "tuple[int, ...]": (list,)}
 
 CHAT_PREAMBLE = (
     "A chat between a curious user and an artificial intelligence assistant. "
@@ -322,11 +319,21 @@ class ExperimentConfig:
     stop_on_eos: bool = True
 
     def __post_init__(self) -> None:
-        if self.template not in TEMPLATES:
-            raise ValueError(f"unknown template {self.template!r}")
+        for name in _PATH_FIELDS:
+            path = getattr(self, name)
+            if type(path) is not str:
+                raise ValueError(f"config field {name} must be a string, got {path!r}")
+            if not path:  # "" would resolve to the config's directory
+                raise ValueError(f"config field {name} must name a file, got ''")
+        for name, choices in (("template", TEMPLATES), ("mode", MODES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"config field {name} must be one of {choices}, got {getattr(self, name)!r}")
         # checked first: a bool or a float passes the range checks below, and the report would echo it
-        self.seed, self.max_new_tokens = _integer("seed", self.seed), _integer("max_new_tokens", self.max_new_tokens)
-        self.gammas = tuple(_integer("gammas", g) for g in self.gammas)
+        self.seed = as_integer("config field seed", self.seed)
+        self.max_new_tokens = as_integer("config field max_new_tokens", self.max_new_tokens)
+        if not isinstance(self.gammas, (list, tuple)):  # an int or a dict would fail below as a bare TypeError
+            raise ValueError(f"config field gammas must be a list of integers, got {self.gammas!r}")
+        self.gammas = tuple(as_integer("config field gammas", g) for g in self.gammas)
         for name in ("draft_uses_image", "stop_on_eos"):  # "no" is truthy, and would run with the EOS stop
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"config field {name} must be a boolean, got {getattr(self, name)!r}")
@@ -352,19 +359,12 @@ class ExperimentConfig:
         Relative model/dataset paths are resolved against ``base_dir`` when
         given (the config file's directory, for file-based configs).
         """
-        kinds = {f.name: f.type for f in fields(cls)}
-        extra = set(obj) - set(kinds)
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
         missing = set(_PATH_FIELDS) - set(obj)
         if missing:
             raise ValueError(f"config is missing required fields {sorted(missing)}")
-        for name, value in obj.items():
-            kind = kinds[name]
-            if type(value) not in JSON_TYPES[kind] or (type(value) is list and any(type(v) is not int for v in value)):
-                raise TypeError(f"config field {name} must be {kind}, got {value!r}")
-            if name in _PATH_FIELDS and not value:  # "" would resolve to the config's directory
-                raise ValueError(f"config field {name} must name a file, got ''")
         cfg = cls(**obj)
         if base_dir is not None:
             base = Path(base_dir)
@@ -385,7 +385,7 @@ class ExperimentConfig:
             raise ValueError(f"{path}: config must be a JSON object")
         try:
             return cls.from_dict(obj, base_dir=path.parent)
-        except (TypeError, ValueError) as exc:  # a value of the wrong type raises TypeError
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
     def summary(self) -> dict:
@@ -486,13 +486,6 @@ def _load_context(cfg: ExperimentConfig) -> _RunContext:
         except ValueError as exc:  # MissingFieldError, a character outside the alphabet, empty text
             raise type(exc)(f"{cfg.dataset}: record {rec.prompt_id!r}: {exc}") from exc
     return _RunContext(tokenizer, target, draft, records, prompts)
-
-
-def _integer(name: str, value: object) -> int:
-    """``value`` as an int, if it is an integer and not a bool; else a ValueError naming config field ``name``."""
-    if not is_integer(value):
-        raise ValueError(f"config field {name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @functools.lru_cache(maxsize=64, typed=True)

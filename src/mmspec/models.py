@@ -380,14 +380,13 @@ class PromptConditionedLm:
 
     A query keys ``base.rows``, which the view takes (building it if need be)
     when it is made, with the code of the flat prefix's window: one integer
-    and one ``dict.get`` that falls back to the shared uniform row.  Once the
-    output fills the window the code is a fold of the output's tail.  Before
-    that it is the code of the prompt's tail, computed once per prompt, with
-    each output id shifted in; BOS padding is digit 0, so it costs nothing.
-    A key moves on by one token as ``(key * base + tok + 1) % base**need``,
-    and by a run of tokens with :meth:`shift`; a caller that carries a code
-    hands it to :meth:`walk` and :meth:`score_block`, which then fold
-    nothing."""
+    and one ``dict.get`` that falls back to the shared uniform row.  Every
+    code starts from :meth:`start`, the code of the prompt's own window,
+    computed once per prompt, and moves on by one token as
+    ``(key * base + tok + 1) % base**need``, or by a run of tokens with
+    :meth:`shift`; BOS padding is digit 0, so it costs nothing.  A caller
+    that carries a code hands it to :meth:`walk` and :meth:`score_block`,
+    which then shift nothing in before the first row."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
@@ -399,31 +398,26 @@ class PromptConditionedLm:
         self._last = slice(-self._need, None) if self._need else slice(0)  # the ids of a sequence a window keeps
         self._get = base.rows.get
         self._uniform = base._uniform
-        self._tail: tuple[MultimodalPrompt | None, int] = (None, 0)  # (prompt, its tail's code)
+        self._start: tuple[MultimodalPrompt | None, int] = (None, 0)  # (prompt, its window's code)
 
     @property
     def vocab(self) -> Vocab:
         return self.base.vocab
 
-    def _key(self, prompt: MultimodalPrompt, generated: Sequence[TokenId]) -> int:
-        """The code of the window that ends with ``generated``."""
-        n, need = len(generated), self._need
-        key, base = 0, self._base
-        if n >= need:
-            for tok in generated[n - need :]:
-                key = key * base + tok + 1
-            return key
-        if self._tail[0] is not prompt:
+    def start(self, prompt: MultimodalPrompt) -> int:
+        """The code of ``prompt``'s own window, kept for the last prompt; an order-1 model reads no prompt id."""
+        if self._start[0] is not prompt:
+            last, base = self._last, self._base
             # each part cut to the window first, so a long prompt is never concatenated whole
-            text = (prompt.image_ctx[-need:] + prompt.text[-need:] if self.sees_image else prompt.text)[-need:]
-            for tok in text:  # an id outside the vocab would code as another window
+            window = (prompt.image_ctx[last] + prompt.text[last] if self.sees_image else prompt.text)[last]
+            for tok in window:  # an id outside the vocab would code as another window
                 if not 0 <= tok < base - 1:
-                    raise ValueError(f"prompt window {list(text)} holds an id outside the vocab of size {base - 1}")
-            self._tail = (prompt, _code(text, base))
-        return (self._tail[1] * base**n + _code(generated, base)) % self._mod  # each output id shifted in
+                    raise ValueError(f"prompt window {list(window)} holds an id outside the vocab of size {base - 1}")
+            self._start = (prompt, _code(window, base))
+        return self._start[1]
 
     def next_dist(self, prompt: MultimodalPrompt, generated: Sequence[TokenId] = ()) -> ProbDist:
-        return self._get(self._key(prompt, generated), self._uniform)
+        return self._get(self.shift(self.start(prompt), generated), self._uniform)
 
     def shift(self, key: int, tokens: Sequence[TokenId]) -> int:
         """``key`` moved on by ``tokens``: the code of the window that ends with them.  Only the last ``need`` ids
@@ -446,9 +440,9 @@ class PromptConditionedLm:
         each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk takes ``n`` draws
         at once, bisects each row's cdf with its own draw, as :func:`sample` does, and gives back the draws of the
         tokens a stop cut off.  ``key``, if given, is ``generated``'s window code, which the caller carries;
-        without it the first row is :meth:`next_dist`'s, which perfbench patches, and its key is built again for
-        the rest.  Each later key is the last one shifted by the token just drawn, and ``generated`` is never
-        changed."""
+        without it the first row is :meth:`next_dist`'s, which perfbench patches, and its key is shifted from
+        :meth:`start` again for the rest.  Each later key is the last one shifted by the token just drawn, and
+        ``generated`` is never changed."""
         if n < 1:
             return [], []
         row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)
@@ -457,7 +451,7 @@ class PromptConditionedLm:
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
             if key is None:
-                key = self._key(prompt, generated)
+                key = self.shift(self.start(prompt), generated)
             base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
             for i in range(1, n):
                 key = (key * base + tok + 1) % mod
@@ -481,7 +475,7 @@ class PromptConditionedLm:
         """The rows after ``generated`` and after each prefix of ``block``; ``key``, if given, is ``generated``'s
         window code, which the caller carries."""
         if key is None:
-            key = self._key(prompt, generated)
+            key = self.shift(self.start(prompt), generated)
         base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
         dists = [get(key, uniform)]  # a loop: on Python 3.11 a comprehension costs a frame per call
         for tok in block:

@@ -74,6 +74,14 @@ def context(model, prefix):
     return (BOS,) * (need - len(tail)) + tail
 
 
+def flat_code(view, prompt, generated=()):
+    """The :func:`code` of the window a prompt-conditioned ``view`` reads
+    after ``generated``: the tail of image context, text and output for the
+    target, of text and output for the draft."""
+    head = prompt.image_ctx + prompt.text if view.sees_image else prompt.text
+    return code(context(view.base, head + tuple(generated)), view.base.vocab.size)
+
+
 def flat_next_dist(model, prefix):
     """``model``'s distribution over the next token after the flat
     ``prefix``, keyed by the :func:`code` of :func:`context`'s BOS-padded

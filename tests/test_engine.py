@@ -10,6 +10,7 @@ from helpers import (
     assert_drawn,
     bundled_corpus,
     code,
+    flat_code,
     keyless_spd_generate,
     random_dist,
     random_model,
@@ -66,7 +67,7 @@ class KeyRecorder(dict):
 
 class CodeChecker:
     """View mixin that records the window code each walk and score_block is
-    given, and checks it against the view's own ``_key`` of the output."""
+    given, and checks it against the :func:`code` of the output's flat window."""
 
     def __init__(self, base):
         super().__init__(base)
@@ -74,7 +75,7 @@ class CodeChecker:
 
     def _given(self, prompt, generated, key):
         self.codes.append(key)
-        assert key is None or key == self._key(prompt, generated), (key, list(generated))
+        assert key is None or key == flat_code(self, prompt, generated), (key, list(generated))
 
     def walk(self, prompt, generated, n, rng=None, stop=None, key=None):
         self._given(prompt, generated, key)
@@ -476,10 +477,10 @@ class TestSpdGenerate:
         """Over random models of order 1-4, a text-only or an image-aware
         draft, prompts shorter than the window, EOS truncation on and off, and
         greedy and stochastic runs, every block is scored from, and every
-        block after the first drafted from, the code ``_key(prompt, out)``
-        gives the view; the first block's draft walk is handed none, so it
-        keys itself.  The output and trace equal the reference loop's, which
-        keys every block from ``(prompt, out)``."""
+        block after the first drafted from, the code of the view's flat
+        window after ``out``; the first block's draft walk is handed none, so
+        it keys itself.  The output and trace equal the reference loop's,
+        which keys every block from ``(prompt, out)``."""
         rng = np.random.default_rng(80)
         checked = Counter()
         for trial in range(120):

@@ -426,6 +426,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="gamma 9 is more than max_new_tokens 8"):
             self.base(gammas=(3, 9), max_new_tokens=8)
         assert self.base(gammas=(8,), max_new_tokens=8).gammas == (8,)
+        for field in ("target_model", "draft_model", "dataset"):  # "" would resolve to the config's directory
+            for build in (self.base, lambda **kw: replace(self.base(), **kw)):
+                with pytest.raises(ValueError, match=f"^config field {field} must name a file, got ''$"):
+                    build(**{field: ""})
         wrong_types = (
             ("cost_c", "cheap"),
             ("max_new_tokens", "many"),
@@ -436,6 +440,8 @@ class TestExperimentConfig:
             ("stop_on_eos", 1),
             ("template", ["chat"]),
             ("dataset", None),
+            ("target_model", 7),
+            ("gammas", {"3": 1}),
         )
         for field, value in wrong_types:
             path = tmp_path / "bad.json"
@@ -510,14 +516,22 @@ class TestExperimentConfig:
             ("stop_on_eos", 0, "a boolean"),
             ("draft_uses_image", 1, "a boolean"),
             ("draft_uses_image", None, "a boolean"),
+            *((path, value, "a string") for path in ("target_model", "draft_model", "dataset") for value in (None, 7)),
+            ("gammas", 3, "a list of integers"),
+            ("gammas", {"3": 1}, "a list of integers"),
+            ("template", "markdown", f"one of {harness.TEMPLATES}"),
+            ("mode", ["greedy"], "one of ('stochastic', 'greedy')"),
         ],
     )
     def test_direct_build_rejects_wrong_kinds(self, field, value, kind):
         """Built directly or by ``replace``, a config rejects a cost that is
-        not a number, or a flag that is not a bool, by name.  ``cost_c=True``
-        was echoed as ``true``, ``cost_c="0.5"`` raised a bare TypeError, and
+        not a number, a flag that is not a bool, a path that is not a
+        string, gammas that are not a list or tuple, or a template or mode
+        that is not one of its choices, by name.  ``cost_c=True`` was echoed
+        as ``true``, ``cost_c="0.5"`` raised a bare TypeError,
         ``stop_on_eos="no"`` ran with the EOS stop while the report echoed
-        ``"no"``."""
+        ``"no"``, ``dataset=None`` built and failed in the run as a bare
+        TypeError, and ``gammas=3`` and ``mode=["greedy"]`` raised one."""
         reason = re.escape(f"config field {field} must be {kind}, got {value!r}")
         with pytest.raises(ValueError, match=reason):
             self.base(**{field: value})

@@ -13,6 +13,7 @@ from helpers import (
     assert_drawn,
     code,
     context,
+    flat_code,
     flat_next_dist,
     flat_score_block,
     loop_train_ngram,
@@ -716,8 +717,10 @@ class TestPromptViews:
     def test_out_of_vocab_prompt_window_rejected(self):
         """An id outside the vocabulary in the window a prompt gives the
         views is refused by name, not coded as another window's id: id V
-        carries into the next digit and -1 is BOS padding's digit.  Ids
-        outside the window are never read."""
+        carries into the next digit and -1 is BOS padding's digit.  Every
+        code starts from the prompt's window, so it is refused also when the
+        output fills the window.  Ids outside the window are never read,
+        and an order-1 model reads none."""
         base = self._image_sensitive_model()
         target, draft = MultimodalTargetLm(base), TextOnlyDraftLm(base)
         for view, prompt in (
@@ -726,12 +729,22 @@ class TestPromptViews:
             (draft, MultimodalPrompt(image_ctx=(), text=(-2, 3))),
             (draft, MultimodalPrompt(image_ctx=(1,), text=(2**70,))),
         ):
-            for query in (view.next_dist, lambda p, g: view.walk(p, g, 3), lambda p, g: view.score_block(p, g, (1,))):
+            for query in (
+                view.start,
+                view.next_dist,
+                lambda p: view.next_dist(p, (1, 2)),
+                lambda p: view.walk(p, (), 3),
+                lambda p: view.score_block(p, (), (1,)),
+            ):
                 with pytest.raises(ValueError, match="holds an id outside the vocab of size 4"):
-                    query(prompt, ())
-            assert view.next_dist(prompt, (1, 2)) is flat_next_dist(base, (1, 2))
+                    query(prompt)
         assert draft.next_dist(MultimodalPrompt(image_ctx=(4,), text=(2,))) is flat_next_dist(base, (2,))
         assert target.next_dist(MultimodalPrompt(image_ctx=(), text=(9, 1, 2))) is flat_next_dist(base, (1, 2))
+        unigram = train_ngram([[0, 2, 3]], order=1, alpha=1.0, vocab=base.vocab)
+        prompt = MultimodalPrompt(image_ctx=(4,), text=(-2, 2**70))
+        for view in (MultimodalTargetLm(unigram), TextOnlyDraftLm(unigram)):
+            assert view.start(prompt) == 0
+            assert view.next_dist(prompt, (1,)) is flat_next_dist(unigram, ()) is unigram.rows[0]
 
     def test_image_ctx_changes_target_dist(self):
         """Same text, different image ids: windows (0,2) vs (1,2) differ."""
@@ -884,11 +897,12 @@ class TestWindowCodes:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_shift_and_given_codes(self, order):
-        """``shift`` moves a view's code by a run of tokens exactly as ``_key``
-        folds the longer output, for outputs and runs both shorter and longer
-        than the window; and a ``walk`` or ``score_block`` given the output's
-        code returns the same tokens and the very same rows, and leaves its
-        stream where the per-token reference leaves it, without a ``next_dist``
+        """``start`` is the code of the prompt's flat window, and ``shift``
+        moves a code by a run of tokens to the code of the longer output's
+        flat window, for outputs and runs both shorter and longer than the
+        window; and a ``walk`` or ``score_block`` given the output's code
+        returns the same tokens and the very same rows, and leaves its stream
+        where the per-token reference leaves it, without a ``next_dist``
         call."""
         rng = np.random.default_rng(620 + order)
         need = order - 1
@@ -901,8 +915,10 @@ class TestWindowCodes:
                     prompt = random_prompt(rng, vocab, max_text=order)
                     gen = rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist()
                     more = tuple(rng.integers(0, vocab.size, int(rng.integers(0, need + 3))).tolist())
-                    key = view._key(prompt, gen)
-                    assert view.shift(key, more) == view._key(prompt, gen + list(more))
+                    assert view.start(prompt) == flat_code(view, prompt)
+                    key = view.shift(view.start(prompt), gen)
+                    assert key == flat_code(view, prompt, gen)
+                    assert view.shift(key, more) == flat_code(view, prompt, gen + list(more))
                     rows = view.score_block(prompt, gen, more, key)
                     assert all(a is b for a, b in zip(rows, view.score_block(prompt, gen, more), strict=True))
                     n, stop = int(rng.integers(0, need + 4)), int(rng.integers(0, vocab.size))

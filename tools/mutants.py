@@ -63,18 +63,17 @@ MUTANTS = [
     Mutant(M, "for tok in block:\n            key = (key * base + tok + 1) % mod",
            "for tok in block:\n            key = key * base + tok + 1",
            "score_block shifts its key without % mod"),
-    Mutant(M, "return (self._tail[1] * base**n + _code(generated, base)) % self._mod",
-           "return self._tail[1] * base**n + _code(generated, base)",
-           "the short-output key skips % mod"),
     Mutant(M, "self._base = base.vocab.size + 1", "self._base = base.vocab.size",
            "the views fold in base V, not V + 1"),
     Mutant(M, "code = code * base + tok + 1\n", "code = code * base + (tok + 1 if tok != BOS else base - 1)\n",
            "BOS is digit V, not 0, in the row codes"),
-    Mutant(M, "text = (prompt.image_ctx[-need:] + prompt.text[-need:] if self.sees_image else prompt.text)[-need:]",
-           "text = prompt.text[-need:]",
-           "the target's key drops the image tail"),
+    Mutant(M, "window = (prompt.image_ctx[last] + prompt.text[last] if self.sees_image else prompt.text)[last]",
+           "window = prompt.text[last]",
+           "the target's start drops the image tail"),
     Mutant(M, "if not 0 <= tok < base - 1:", "if not -1 <= tok < base:",
            "the prompt-window id check widened to [-1, V]"),
+    Mutant(M, "last, base = self._last, self._base", "last, base = slice(-self._need, None), self._base",
+           "start reads the whole prompt for an order-1 model"),
     # Residual table.
     Mutant(E, "draft.rows.get(code % draft.code_mod, draft._uniform)",
            "draft.rows.get(code % target.code_mod, draft._uniform)",
@@ -102,11 +101,18 @@ MUTANTS = [
            "a bool cost_c is accepted"),
     Mutant(H, 'for name in ("draft_uses_image", "stop_on_eos"):', "for name in ():",
            "the config's flags are unchecked"),
+    Mutant(H, "if type(path) is not str:", "if False:",
+           "a config path that is not a string is accepted"),
+    Mutant(H, "if not isinstance(self.gammas, (list, tuple)):", "if False:",
+           "a config's gammas that are not a list or tuple are accepted"),
+    Mutant(H, 'for name, choices in (("template", TEMPLATES), ("mode", MODES)):',
+           'for name, choices in (("template", TEMPLATES),):',
+           "a config's mode is unchecked"),
     Mutant(E, 'for name in ("gamma", "max_new_tokens"):', 'for name in ("max_new_tokens",):',
            "SpdConfig takes a float or bool gamma"),
     Mutant(E, "if type(self.stop_on_eos) is not bool:", "if False:",
            "SpdConfig takes a non-bool stop_on_eos"),
-    Mutant(E, '        _check_integer("max_new_tokens", max_new_tokens)\n', "        pass\n",
+    Mutant(E, '        as_integer("max_new_tokens", max_new_tokens)\n', "        pass\n",
            "autoregressive_generate takes a float max_new_tokens"),
     # Codes carried through a speculative run.
     Mutant(E, "draft.shift(draft_key, emitted), target.shift(target_key, emitted)",
@@ -121,9 +127,9 @@ MUTANTS = [
     Mutant(M, "self._last = slice(-self._need, None) if self._need else slice(0)",
            "self._last = slice(self._need)",
            "shift folds the first need tokens, not the last"),
-    Mutant(M, "if self._tail[0] is not prompt:", "if self._tail[0] is None:",
+    Mutant(M, "if self._start[0] is not prompt:", "if self._start[0] is None:",
            "a run's first block gets the stale prompt-tail code of an earlier prompt"),
-    Mutant(E, "draft._key(prompt, out), target._key(prompt, out)", "draft._key(prompt, out), draft._key(prompt, out)",
+    Mutant(E, "draft.start(prompt), target.start(prompt)", "draft.start(prompt), draft.start(prompt)",
            "the first block is scored from the draft view's code, which never holds the image"),
     Mutant(M, "row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)",
            "row = self.next_dist(prompt, generated)",
