@@ -8,8 +8,10 @@ counter-based random stream whose draws are reproducible from
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -80,10 +82,8 @@ class ProbDist:
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-d vector of >= 2 entries, got shape {arr.shape}")
-        cdf = np.cumsum(_checked(arr))
-        cdf[-1 if arr[-1] > 0.0 else np.flatnonzero(arr)[-1] :] = 1.0  # from the last positive entry on
-        cdf.setflags(write=False)
-        self._fill(arr, cdf, int(arr.argmax()))
+        (cdf,), (top,) = _cdfs(_checked(arr)[None])  # the row as a one-row matrix, completed as table's rows
+        self._fill(arr, cdf, top)
 
     @classmethod
     def table(cls, matrix: np.ndarray) -> list[ProbDist]:
@@ -94,15 +94,8 @@ class ProbDist:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] < 2:
             raise ValueError(f"expected a 2-d matrix of rows of >= 2 entries, got shape {matrix.shape}")
-        cdfs = np.cumsum(_checked(matrix), axis=1)
-        if matrix[:, -1].all():  # no zero tail, as in every smoothed model row: only the last sums are set
-            cdfs[:, -1] = 1.0
-        else:
-            last = matrix.shape[1] - 1 - (matrix[:, ::-1] > 0.0).argmax(axis=1)  # each row's last positive entry
-            cdfs[np.arange(matrix.shape[1]) >= last[:, None]] = 1.0
-        cdfs.setflags(write=False)  # once for the matrix: its row views inherit it
         dists = []
-        for probs, cdf, top in zip(matrix, cdfs, matrix.argmax(axis=1).tolist()):
+        for probs, cdf, top in zip(matrix, *_cdfs(_checked(matrix))):
             dist = cls.__new__(cls)
             dist._fill(probs, cdf, top)
             dists.append(dist)
@@ -226,6 +219,44 @@ def as_integer(name: str, value: object) -> int:
     if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _read_utf8(path: Path, *, name_line: bool = True) -> str:
+    """The text of ``path``, or a ValueError naming it, the offset of its first byte that is not UTF-8 and,
+    with ``name_line``, that byte's line as ``str.splitlines`` counts lines (the line-based readers' count)."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = f":{len((data[: exc.start].decode('utf-8') + 'x').splitlines())}" if name_line else ""
+        raise ValueError(f"{path}{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _write_atomic(texts: dict[Path, str]) -> None:
+    """Write each text to its path as UTF-8, all or none: each goes to a temporary file ``.<name>.<pid>.tmp`` beside
+    its path, and ``os.replace`` moves them into place once all are written.  A failure removes every temporary file."""
+    tmps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
+    try:
+        for path, text in texts.items():
+            tmps[path].write_text(text, encoding="utf-8", newline="")
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)  # never leave a temporary file behind
+        raise
+
+
+def _cdfs(matrix: np.ndarray) -> tuple[np.ndarray, list[TokenId]]:
+    """Each row's read-only cumsum, 1.0 from its last positive entry on, and argmax: every ProbDist's completion."""
+    cdfs = np.cumsum(matrix, axis=1)
+    if matrix[:, -1].all():  # no zero tail, as in every smoothed model row: only the last sums are set
+        cdfs[:, -1] = 1.0
+    else:
+        last = matrix.shape[1] - 1 - (matrix[:, ::-1] > 0.0).argmax(axis=1)  # each row's last positive entry
+        cdfs[np.arange(matrix.shape[1]) >= last[:, None]] = 1.0
+    cdfs.setflags(write=False)  # once for the matrix: its row views inherit it
+    return cdfs, matrix.argmax(axis=1).tolist()
 
 
 def _checked(arr: np.ndarray) -> np.ndarray:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, as_integer
+from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, as_integer, _read_utf8, _write_atomic
 from mmspec.engine import (
     MODES,
     BlockTrace,
@@ -123,17 +123,6 @@ def demo_corpus_path() -> Path:
 def demo_dataset_path() -> Path:
     """Bundled demo dataset (JSON lines of prompt records)."""
     return DATA_DIR / "demo.jsonl"
-
-
-def _read_utf8(path: Path, *, name_line: bool = True) -> str:
-    """The text of ``path``, or a ValueError naming it, the offset of its first byte that is not UTF-8 and,
-    with ``name_line``, that byte's line as ``str.splitlines`` counts lines (the line-based readers' count)."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = f":{len((data[: exc.start].decode('utf-8') + 'x').splitlines())}" if name_line else ""
-        raise ValueError(f"{path}{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 # --------------------------------------------------------------------------- #
@@ -571,25 +560,15 @@ def _fmt(value) -> str:
 
 
 def _write_report(report: RunReport, out_dir: Path) -> None:
-    """Write ``report.csv`` and ``report.json`` atomically: both go to
-    temporary files in ``out_dir`` that ``os.replace`` moves into place once
-    both are written, so a failure leaves any previous report intact."""
+    """Write ``report.csv`` and ``report.json`` together with :func:`_write_atomic`: a failure keeps the last report."""
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in report.runs)
+    payload = {"config": report.config, "per_gamma": [asdict(a) for a in report.aggregates]}
+    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_tmp, json_tmp = (out_dir / f".report.{ext}.{os.getpid()}.tmp" for ext in ("csv", "json"))
-    try:
-        with open(csv_tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows([_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in report.runs)
-        payload = {"config": report.config, "per_gamma": [asdict(a) for a in report.aggregates]}
-        json_tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(csv_tmp, out_dir / "report.csv")
-        os.replace(json_tmp, out_dir / "report.json")
-    except BaseException:
-        # Never leave temporary files behind.
-        for path in (csv_tmp, json_tmp):
-            path.unlink(missing_ok=True)
-        raise
+    _write_atomic({out_dir / "report.csv": rows.getvalue(), out_dir / "report.json": json_text})
 
 
 # --------------------------------------------------------------------------- #

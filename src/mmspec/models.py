@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab
+from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab, _read_utf8, _write_atomic
 
 __all__ = [
     "BOS",
@@ -77,10 +76,10 @@ class NgramLm:
     training yields the uniform distribution; otherwise
     ``(count + alpha) / (total + alpha * V)``.
 
-    ``counts`` is one integer matrix, checked and frozen here, whose row
-    ``i`` counts the tokens that followed ``contexts[i]`` in training: at
-    least one row, ``vocab.size`` columns, no negative count, and no row
-    whose total passes ``2**63 - 1``, where int64 would wrap.  :attr:`rows`
+    ``contexts`` are ``order - 1`` ids each, each BOS or in ``[0, V)``, none twice, and
+    ``counts`` is one integer matrix whose row ``i`` counts the tokens that followed
+    ``contexts[i]`` in training: ``vocab.size`` columns, no negative count, and no row
+    whose total passes ``2**63 - 1``; both are checked here, however the model is built.  :attr:`rows`
     holds the row of every such context, a view of that row of :attr:`probs`,
     keyed by the context's window code: the ids as digits ``id + 1`` in base
     ``V + 1``, the last id lowest, so BOS is digit 0 and a window's suffix is
@@ -109,6 +108,16 @@ class NgramLm:
         # checked before the uniform row is allocated, so a huge vocab size fails first
         if not contexts:
             raise ValueError("no count rows; training always yields at least one")
+        if set(map(len, contexts)) != {order - 1}:  # a wrong width or a colliding id would share a row's code
+            bad = next(ctx for ctx in contexts if len(ctx) != order - 1)
+            raise ValueError(f"context {list(bad)} is not a list of {order - 1} integers")
+        ids = set(chain.from_iterable(contexts))
+        if ids and not (BOS <= min(ids) and max(ids) < vocab.size):  # BOS is -1: an id is BOS or in [0, V)
+            bad = next(ctx for ctx in contexts if not all(BOS <= tok < vocab.size for tok in ctx))
+            raise ValueError(f"context {list(bad)} holds an id outside [0, {vocab.size}) other than BOS")
+        if len(set(contexts)) < len(contexts):
+            twice = next(ctx for ctx, k in Counter(contexts).items() if k > 1)
+            raise ValueError(f"context {list(twice)} appears twice")
         if counts.shape != (len(contexts), vocab.size) or counts.dtype.kind != "i":
             raise ValueError(f"count rows must be {vocab.size} integers each, got {counts.dtype} {counts.shape}")
         if counts.min() < 0:
@@ -252,11 +261,8 @@ def _count_ngrams(tokens: np.ndarray, lengths: list[int], order: int, alpha: flo
 def save_ngram(model: NgramLm, path: str | Path) -> None:
     """Write a model as ``ngram-v2`` JSON: the header, the sorted contexts,
     and a ``[context_index, token, count]`` triple for each nonzero count,
-    in sorted order, so a given model always produces identical bytes.
-
-    The JSON goes to a temporary file in the target directory that
-    ``os.replace`` moves into place, so a failed write leaves any previous
-    model file intact."""
+    in sorted order, so a given model always produces identical bytes;
+    :func:`mmspec.core._write_atomic` keeps any previous file if the write fails."""
     order = sorted(range(len(model.contexts)), key=model.contexts.__getitem__)
     counts = model.counts[order]
     rows, tokens = np.nonzero(counts)  # row-major, so the triples come out sorted
@@ -269,36 +275,25 @@ def save_ngram(model: NgramLm, path: str | Path) -> None:
         "contexts": [list(model.contexts[i]) for i in order],
         "counts": np.stack([rows, tokens, counts[rows, tokens]], axis=1).tolist(),
     }
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)  # never leave the temporary file behind
-        raise
+    _write_atomic({Path(path): json.dumps(payload, separators=(",", ":")) + "\n"})
 
 
 def load_ngram(path: str | Path) -> NgramLm:
     """Read an ``ngram-v2`` model file back into an NgramLm.
 
     Raises:
-        ModelFormatError: if the file is not UTF-8 JSON tagged ``ngram-v2``
-            (an ``ngram-v1`` file among them), or its payload is malformed:
-            a missing field; a header, context id or triple value that is
-            not a JSON integer; an ``alpha`` that is not a JSON number, not
-            finite and > 0, or whose ``alpha * vocab_size`` overflows; no
-            contexts; a context of the wrong length, with an id outside the
-            vocabulary other than :data:`BOS`, or listed twice; a triple
-            that is not three integers, names a context index outside
-            ``contexts`` or a token outside ``[0, vocab_size)``, holds a
-            count below 1, or repeats a (context, token) cell; a count
-            matrix of more than :data:`MAX_COUNT_CELLS` cells; or a context
-            whose counts sum past ``2**63 - 1``.
+        ModelFormatError: naming the file, if it is not UTF-8 JSON tagged
+            ``ngram-v2`` (an ``ngram-v1`` file among them), or its payload
+            breaks a rule of README's *Model files*: the loader checks the
+            JSON types, the triples and :data:`MAX_COUNT_CELLS`; NgramLm the rest.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        text = _read_utf8(Path(path), name_line=False)
+    except ValueError as exc:  # it names the file and the byte
+        raise ModelFormatError(str(exc)) from None
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     tag = payload.get("format") if isinstance(payload, dict) else None
     if tag != NGRAM_FORMAT:
@@ -313,19 +308,18 @@ def load_ngram(path: str | Path) -> NgramLm:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _int_rows(payload: dict, what: str, width: int) -> np.ndarray:
-    """``payload[what]`` as an int64 matrix, if it is a JSON list of lists of ``width`` integers each."""
+def _int_lists(payload: dict, what: str) -> list[list[int]]:
+    """``payload[what]``, if it is a JSON list of lists of integers."""
     value = payload[what]
     if type(value) is not list:
         raise TypeError(f"{what} must be a list, got {value!r}")
-    if not (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}):
-        bad = next(row for row in value if type(row) is not list or len(row) != width)
-        raise ValueError(f"{what} entry {bad!r} is not a list of {width} integers")
+    if not set(map(type, value)) <= {list}:
+        raise TypeError(f"{what} entry {next(row for row in value if type(row) is not list)!r} is not a list")
     # as int64, numpy would read a JSON true/false as 1/0 and truncate a float, so the values' types are checked first
     if not set(map(type, chain.from_iterable(value))) <= {int}:
         bad = next(row for row in value if any(type(v) is not int for v in row))
         raise TypeError(f"{what} entry {bad!r} holds a non-integer")
-    return np.array(value, dtype=np.int64).reshape(len(value), width)
+    return value
 
 
 def _model_from_payload(payload: dict) -> NgramLm:
@@ -338,21 +332,16 @@ def _model_from_payload(payload: dict) -> NgramLm:
     alpha = payload["alpha"]
     if type(alpha) not in (int, float):
         raise TypeError(f"alpha must be a number, got {alpha!r}")
-    alpha = float(alpha)
-    ids = _int_rows(payload, "contexts", max(order - 1, 0))
-    cells = _int_rows(payload, "counts", 3)
-    contexts = tuple(map(tuple, payload["contexts"]))
+    contexts = tuple(map(tuple, _int_lists(payload, "contexts")))
+    triples = _int_lists(payload, "counts")
+    if not set(map(len, triples)) <= {3}:
+        raise ValueError(f"counts entry {next(t for t in triples if len(t) != 3)} is not a list of 3 integers")
+    cells = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
     n = len(contexts)
     if max(n, 1) * size > MAX_COUNT_CELLS:  # before the matrix, or the model's uniform row, is allocated
         raise ValueError(
             f"{n} contexts x vocab size {size} is more than the {MAX_COUNT_CELLS} count cells a model file may hold"
         )
-    outside = np.flatnonzero(~((ids == BOS) | ((ids >= 0) & (ids < size))).all(axis=1))
-    if outside.size:
-        raise ValueError(f"context {list(contexts[outside[0]])} holds an id outside [0, {size}) other than BOS")
-    if len(set(contexts)) < n:
-        twice = next(ctx for ctx, k in Counter(contexts).items() if k > 1)
-        raise ValueError(f"context {list(twice)} appears twice")
     index, token, count = cells.T
     for bad, reason in (
         ((index < 0) | (index >= n), f"names a context index outside [0, {n})"),

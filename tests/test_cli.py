@@ -208,7 +208,7 @@ class TestNotUtf8:
     naming the file and the byte's offset, and for the line-based dataset
     and corpus the byte's line, before anything is written."""
 
-    @pytest.mark.parametrize("reader", ["dataset", "config", "corpus"])
+    @pytest.mark.parametrize("reader", ["dataset", "config", "corpus", "model"])
     def test_names_file_and_line(self, workspace, tmp_path, reader, capsys):
         models = workspace / "models"
         cfg = {
@@ -224,6 +224,12 @@ class TestNotUtf8:
             bad = json.dumps(cfg, indent=1).encode().replace(b"draft.json", b"draft\xff.json")
             path = tmp_path / "config.json"
             argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        elif reader == "model":
+            bad = (models / "draft.json").read_bytes().replace(b'"format"', b'"form\xfft"')
+            path = tmp_path / "draft.json"
+            cfg["draft_model"] = str(path)
+            (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         else:
             bad = b'{"id": "a", "prompt_text": "x"}\n{"id": "b", "prompt_text": "caf\xff"}\n'
             path = tmp_path / "dataset.jsonl"
@@ -234,7 +240,7 @@ class TestNotUtf8:
         at = bad.index(b"\xff")
         assert main(argv) == 1
         newlines = bad[:at].count(b"\n")
-        line = "" if reader == "config" else f":{newlines + 1}"
+        line = "" if reader in ("config", "model") else f":{newlines + 1}"
         assert capsys.readouterr().err == f"error: {path}{line}: not UTF-8 (invalid start byte at byte {at})\n"
         assert not (tmp_path / "out").exists()
 

@@ -867,15 +867,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {role} model vocab")):
             run_experiment(cfg, tmp_path / "out")
 
-    @pytest.mark.parametrize("module, name", [(json, "dumps"), (os, "replace")])
-    def test_failed_rewrite_keeps_previous_report(self, demo_cfg, tmp_path, monkeypatch, module, name):
-        """A rewrite that fails, before or while files move into place,
-        leaves the previous report's bytes and no temporary file."""
+    @pytest.mark.parametrize(
+        "module, name, fails_at",
+        [(json, "dumps", 1), (os, "replace", 1), (Path, "write_text", 2)],
+        ids=["json-dumps", "os-replace", "second-write"],
+    )
+    def test_failed_rewrite_keeps_previous_report(self, demo_cfg, tmp_path, monkeypatch, module, name, fails_at):
+        """A rewrite that fails, before or while files move into place, or
+        while the second file is written after the first, leaves the previous
+        report's bytes and no temporary file."""
         run_experiment(demo_cfg, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert set(before) == {"report.csv", "report.json"}
+        original, calls = getattr(module, name), []
 
-        def boom(*args, **kwargs):
+        def boom(*args, **kwargs):  # the call numbered fails_at fails; those before it run
+            calls.append(args)
+            if len(calls) < fails_at:
+                return original(*args, **kwargs)
             raise OSError("disk full")
 
         monkeypatch.setattr(module, name, boom)

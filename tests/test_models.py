@@ -132,13 +132,28 @@ class TestTrainNgram:
             pytest.param(2**62, ((0,),), np.zeros((1, 3), dtype=np.int64), "integers each", id="huge-vocab"),
             pytest.param(3, ((0,),), np.array([[2**62, 2**62, 0]]), "sums past 2\\*\\*63 - 1", id="total-past-int64"),
             pytest.param(4, ((0,),), np.full((1, 4), 2**62), "sums past 2\\*\\*63 - 1", id="total-wraps-to-zero"),
+            pytest.param(3, ((0, 1), (0, 1)), np.zeros((2, 3), dtype=np.int64), r"context \[0, 1\] appears twice",
+                         id="repeated-context"),
+            pytest.param(3, ((0, 1), (1,)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[1\] is not a list of 2 integers", id="short-context"),
+            pytest.param(3, ((0, 1), (0, 1, 2)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[0, 1, 2\] is not a list of 2 integers", id="long-context"),
+            pytest.param(3, ((0, 3),), np.zeros((1, 3), dtype=np.int64),
+                         r"context \[0, 3\] holds an id outside \[0, 3\) other than BOS", id="id-v"),
+            pytest.param(3, ((BOS, 1), (-2, 1)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[-2, 1\] holds an id outside", id="id-below-bos"),
+            pytest.param(3, ((1, 1), (0, 5)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[0, 5\] holds an id outside", id="colliding-codes"),
         ],
     )
     def test_constructor_rejects_bad_count_matrix(self, vocab_size, contexts, counts, reason):
         """A count matrix must be one integer row of ``vocab.size`` non-negative
-        counts per context; a huge vocab size fails before any row is allocated."""
+        counts per context; a huge vocab size fails before any row is allocated.
+        Each context must be ``order - 1`` ids, each BOS or in ``[0, V)``, and
+        appear once: ``(0, 5)`` would share ``(1, 1)``'s code at V = 3."""
+        order = len(contexts[0]) + 1 if contexts else 2  # the first context's width
         with pytest.raises(ValueError, match=reason):
-            NgramLm(Vocab(vocab_size, 0), 2, 1.0, contexts, counts)
+            NgramLm(Vocab(vocab_size, 0), order, 1.0, contexts, counts)
 
     def test_row_total_bound_is_inclusive(self):
         m = NgramLm(Vocab(3, 0), 2, 1.0, ((0,), (1,)), np.array([[2**62, 2**62 - 1, 0], [0, 0, 2**62]]))
@@ -463,11 +478,15 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_ngram(p)
 
-    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deeply-nested"])
-    def test_rejects_undecodable_file_naming_file(self, tmp_path, data):
+    @pytest.mark.parametrize(
+        "data, reason",
+        [(b"\xff\xfe{}", "not UTF-8 (invalid start byte at byte 0)"), (b"[" * 100_000, "not valid JSON")],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    def test_rejects_undecodable_file_naming_file(self, tmp_path, data, reason):
         p = tmp_path / "bad.json"
         p.write_bytes(data)
-        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: not valid JSON")):
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}: {reason}")):
             load_ngram(p)
 
     @staticmethod

@@ -134,6 +134,23 @@ MUTANTS = [
     Mutant(M, "row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)",
            "row = self.next_dist(prompt, generated)",
            "a walk given a code still calls next_dist"),
+    # Model contexts, the row builder and the file boundary.
+    Mutant(M, "if len(set(contexts)) < len(contexts):", "if False:",
+           "NgramLm accepts a repeated context"),
+    Mutant(M, "max(ids) < vocab.size):", "max(ids) <= vocab.size):",
+           "NgramLm's id check admits V"),
+    Mutant(M, "if set(map(len, contexts)) != {order - 1}:", "if False:",
+           "NgramLm skips the width check"),
+    Mutant(C, "tmps[path].write_text(text, encoding=\"utf-8\", newline=\"\")\n        for path, tmp in tmps.items():\n"
+              "            os.replace(tmp, path)",
+           "tmps[path].write_text(text, encoding=\"utf-8\", newline=\"\")\n            os.replace(tmps[path], path)",
+           "the writer replaces each file as soon as it is written"),
+    Mutant(C, "tmp.unlink(missing_ok=True)", "pass",
+           "the writer leaves its temporary file after a failure"),
+    Mutant(C, "cdfs[np.arange(matrix.shape[1]) >= last[:, None]] = 1.0", "cdfs[:, -1] = 1.0",
+           "ProbDist(probs) and ProbDist.table clamp only the last cdf entry"),
+    Mutant(C, 'if name_line else ""', 'if False else ""',
+           "the reader drops the line number"),
 ]
 
 
