@@ -20,6 +20,7 @@ __all__ = [
     "AllZeroError",
     "MultimodalPrompt",
     "ProbDist",
+    "REFILL",
     "RngState",
     "TokenId",
     "Vocab",
@@ -135,6 +136,12 @@ class MultimodalPrompt:
             raise ValueError("prompt text must be non-empty")
 
 
+# Draws a stream takes from its generator at a time: one Generator.random(256) costs about half of four random(64).
+REFILL = 256
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default counter, which numpy only reads
+_ZERO_COUNTER.setflags(write=False)
+
+
 class RngState:
     """Deterministic uniform stream addressed by ``(seed, stream)``.
 
@@ -142,9 +149,10 @@ class RngState:
     by the 64-bit seed plus a tuple of stream ids, and nothing global is
     touched.  The generator is built on the first draw, so a state that
     never draws (greedy decoding) costs no key derivation.  Draws come in
-    batches of 64, which equal 64 scalar draws (~0.05 us, not ~1 us, each);
-    :meth:`take` hands out many at once, and :meth:`untake` gives back the
-    ones a caller did not use.
+    refills of :data:`REFILL`, which equal as many scalar draws (~0.04 us,
+    not ~1 us, each), so a speculative run's three streams pay about one
+    refill each.  :meth:`take` hands out many at once, and :meth:`untake`
+    gives back the ones a caller did not use.
     """
 
     __slots__ = ("seed", "stream", "_gen", "_batch")
@@ -159,20 +167,20 @@ class RngState:
             raise ValueError(f"stream ids must be non-negative integers, got stream {ids!r}")
         self.stream = tuple(map(int, ids))
         self._gen: np.random.Generator | None = None
-        self._batch: list[float] = []  # the rest of the current batch, last draw first
+        self._batch: list[float] = []  # the rest of the current refill, last draw first
 
     def uniform(self) -> float:
         """Next uniform draw in ``[0, 1)``."""
         if not self._batch:
-            self._batch = self._draw(64)[::-1]
+            self._batch = self._draw(REFILL)[::-1]
         return self._batch.pop()
 
     def take(self, n: int) -> list[float]:
         """The next ``n`` draws in ``[0, 1)``, in order: what ``n`` calls of
         :meth:`uniform` return."""
         batch, short = self._batch, n - len(self._batch)
-        if short > 0:  # whole batches of 64 go behind the rest of this one
-            batch[:0] = self._draw(-(-short // 64) * 64)[::-1]
+        if short > 0:  # whole refills go behind the rest of this one
+            batch[:0] = self._draw(-(-short // REFILL) * REFILL)[::-1]
         draws = batch[len(batch) - n :]
         del batch[len(batch) - n :]
         draws.reverse()
@@ -189,11 +197,12 @@ class RngState:
         one uint32 array numpy assembles for it: the seed's 32-bit words,
         least significant first, zero-padded to the pool's 4 (numpy pads only
         before a stream, but its pool mixes a missing word as 0), then each
-        stream id's words."""
+        stream id's words.  Its counter is numpy's default, zero, passed as an
+        array, which spares numpy's conversion of the int 0."""
         if self._gen is None:
             ids = b"".join(s.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little") for s in self.stream)
             key = np.random.SeedSequence(np.frombuffer(self.seed.to_bytes(16, "little") + ids, dtype="<u4"))
-            self._gen = np.random.Generator(np.random.Philox(key))
+            self._gen = np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
         return self._gen.random(n).tolist()
 
     def substream(self, *ids: int) -> "RngState":

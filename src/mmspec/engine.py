@@ -39,7 +39,7 @@ from mmspec.core import (
     normalize,
     sample,
 )
-from mmspec.models import NgramLm, PromptConditionedLm
+from mmspec.models import NgramLm, PromptConditionedLm, _shift_pair
 
 __all__ = [
     "BlockRecord",
@@ -116,6 +116,11 @@ class BlockRecord(NamedTuple):
     accepted: int
     emitted: tuple[TokenId, ...]
     correction_kind: str  # "residual-resample" | "greedy-correction" | "bonus"
+
+
+# ``_new_record(BlockRecord, (draft_tokens, accepted, emitted, correction_kind))`` builds a record in C, without
+# the Python-level ``__new__`` frame a NamedTuple's constructor costs on every block.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -255,9 +260,9 @@ def verify_stochastic(
             except AllZeroError:
                 res = q
             fix = sample(res, resample_rng)
-            return BlockRecord(tokens, j, tokens[:j] + (fix,), "residual-resample")
+            return _new_record(BlockRecord, (tokens, j, tokens[:j] + (fix,), "residual-resample"))
     bonus = sample(target_dists[n], resample_rng)
-    return BlockRecord(tokens, n, tokens + (bonus,), "bonus")
+    return _new_record(BlockRecord, (tokens, n, tokens + (bonus,), "bonus"))
 
 
 def verify_greedy(target_dists: Sequence[ProbDist], tokens: Sequence[TokenId]) -> BlockRecord:
@@ -273,8 +278,8 @@ def verify_greedy(target_dists: Sequence[ProbDist], tokens: Sequence[TokenId]) -
     for j, tok in enumerate(tokens):
         top = argmax(target_dists[j])
         if tok != top:
-            return BlockRecord(tokens, j, tokens[:j] + (top,), "greedy-correction")
-    return BlockRecord(tokens, n, tokens + (argmax(target_dists[n]),), "bonus")
+            return _new_record(BlockRecord, (tokens, j, tokens[:j] + (top,), "greedy-correction"))
+    return _new_record(BlockRecord, (tokens, n, tokens + (argmax(target_dists[n]),), "bonus"))
 
 
 # --------------------------------------------------------------------------- #
@@ -305,11 +310,11 @@ def spd_generate(
     Verification gets the models until their :func:`residual_table` is built.
 
     The loop starts each view's window code from the prompt's
-    (:meth:`~mmspec.models.PromptConditionedLm.start`) and shifts it by
-    every block's emitted tokens
-    (:meth:`~mmspec.models.PromptConditionedLm.shift`), so drafting and
-    scoring start from that code.  Only the first block's draft walk keys
-    itself, which takes its first row from ``next_dist``.
+    (:meth:`~mmspec.models.PromptConditionedLm.start`) and shifts both by
+    every block's emitted tokens in one :func:`~mmspec.models._shift_pair`
+    call, so drafting and scoring start from that code.  Only the first
+    block's draft walk keys itself, which takes its first row from
+    ``next_dist``.
     """
     gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
     greedy, base = mode == "greedy", (target.base, draft.base)
@@ -340,7 +345,7 @@ def spd_generate(
         if len(emitted) < room and not (stop_on_eos and eos in emitted):
             out += emitted
             blocks.append(record)
-            draft_key, target_key = draft.shift(draft_key, emitted), target.shift(target_key, emitted)
+            draft_key, target_key = _shift_pair(draft, target, draft_key, target_key, emitted)
             continue
         # EOS or the length limit ends the run with this block.
         if stop_on_eos and eos in emitted:

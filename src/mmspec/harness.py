@@ -47,8 +47,8 @@ from mmspec.models import (
     TextOnlyDraftLm,
     _corpus_ids,
     _count_ngrams,
+    _ngram_text,
     load_ngram,
-    save_ngram,
 )
 
 __all__ = [
@@ -405,7 +405,9 @@ def train_models(
     order), which is the interesting regime for speculative decoding; equal
     orders and alphas give the identity pair used by sanity checks.
 
-    Returns the paths of the written target and draft model files.
+    Both files are written in one :func:`~mmspec.core._write_atomic` call,
+    so a failed write keeps the previous pair, never a new target beside an
+    old draft.  Returns the paths of the written target and draft model files.
     """
     tokenizer = CharTokenizer()
     seqs = []
@@ -424,8 +426,7 @@ def train_models(
     out.mkdir(parents=True, exist_ok=True)
     target_path = out / "target.json"
     draft_path = out / "draft.json"
-    save_ngram(target, target_path)
-    save_ngram(draft, draft_path)
+    _write_atomic({target_path: _ngram_text(target), draft_path: _ngram_text(draft)})
     return target_path, draft_path
 
 

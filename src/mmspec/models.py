@@ -19,7 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from mmspec.core import MultimodalPrompt, ProbDist, RngState, TokenId, Vocab, _read_utf8, _write_atomic
+from mmspec.core import (
+    REFILL,
+    MultimodalPrompt,
+    ProbDist,
+    RngState,
+    TokenId,
+    Vocab,
+    _read_utf8,
+    _write_atomic,
+)
 
 __all__ = [
     "BOS",
@@ -76,7 +85,7 @@ class NgramLm:
     training yields the uniform distribution; otherwise
     ``(count + alpha) / (total + alpha * V)``.
 
-    ``contexts`` are ``order - 1`` ids each, each BOS or in ``[0, V)``, none twice, and
+    ``contexts`` are ``order - 1`` integer ids each, each BOS or in ``[0, V)``, none twice, and
     ``counts`` is one integer matrix whose row ``i`` counts the tokens that followed
     ``contexts[i]`` in training: ``vocab.size`` columns, no negative count, and no row
     whose total passes ``2**63 - 1``; both are checked here, however the model is built.  :attr:`rows`
@@ -111,6 +120,11 @@ class NgramLm:
         if set(map(len, contexts)) != {order - 1}:  # a wrong width or a colliding id would share a row's code
             bad = next(ctx for ctx in contexts if len(ctx) != order - 1)
             raise ValueError(f"context {list(bad)} is not a list of {order - 1} integers")
+        # a float id would code as a float, True as id 1 and a numpy integer in int64 arithmetic, which wraps,
+        # so the ids' types are checked before their values
+        if not set(map(type, chain.from_iterable(contexts))) <= {int}:
+            bad = next(ctx for ctx in contexts if any(type(v) is not int for v in ctx))
+            raise ValueError(f"context {list(bad)} holds a non-integer")
         ids = set(chain.from_iterable(contexts))
         if ids and not (BOS <= min(ids) and max(ids) < vocab.size):  # BOS is -1: an id is BOS or in [0, V)
             bad = next(ctx for ctx in contexts if not all(BOS <= tok < vocab.size for tok in ctx))
@@ -259,10 +273,15 @@ def _count_ngrams(tokens: np.ndarray, lengths: list[int], order: int, alpha: flo
 
 
 def save_ngram(model: NgramLm, path: str | Path) -> None:
-    """Write a model as ``ngram-v2`` JSON: the header, the sorted contexts,
-    and a ``[context_index, token, count]`` triple for each nonzero count,
-    in sorted order, so a given model always produces identical bytes;
-    :func:`mmspec.core._write_atomic` keeps any previous file if the write fails."""
+    """Write a model's :func:`_ngram_text` to ``path``; :func:`mmspec.core._write_atomic` keeps any previous file if
+    the write fails."""
+    _write_atomic({Path(path): _ngram_text(model)})
+
+
+def _ngram_text(model: NgramLm) -> str:
+    """A model as ``ngram-v2`` JSON: the header, the sorted contexts, and a
+    ``[context_index, token, count]`` triple for each nonzero count, in
+    sorted order, so a given model always produces identical bytes."""
     order = sorted(range(len(model.contexts)), key=model.contexts.__getitem__)
     counts = model.counts[order]
     rows, tokens = np.nonzero(counts)  # row-major, so the triples come out sorted
@@ -275,7 +294,7 @@ def save_ngram(model: NgramLm, path: str | Path) -> None:
         "contexts": [list(model.contexts[i]) for i in order],
         "counts": np.stack([rows, tokens, counts[rows, tokens]], axis=1).tolist(),
     }
-    _write_atomic({Path(path): json.dumps(payload, separators=(",", ":")) + "\n"})
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def load_ngram(path: str | Path) -> NgramLm:
@@ -285,7 +304,9 @@ def load_ngram(path: str | Path) -> NgramLm:
         ModelFormatError: naming the file, if it is not UTF-8 JSON tagged
             ``ngram-v2`` (an ``ngram-v1`` file among them), or its payload
             breaks a rule of README's *Model files*: the loader checks the
-            JSON types, the triples and :data:`MAX_COUNT_CELLS`; NgramLm the rest.
+            header's and the triples' JSON types, the triples and
+            :data:`MAX_COUNT_CELLS`; NgramLm the rest, the context ids' types
+            among them.
     """
     try:
         text = _read_utf8(Path(path), name_line=False)
@@ -308,17 +329,13 @@ def load_ngram(path: str | Path) -> NgramLm:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _int_lists(payload: dict, what: str) -> list[list[int]]:
-    """``payload[what]``, if it is a JSON list of lists of integers."""
+def _lists(payload: dict, what: str) -> list[list]:
+    """``payload[what]``, if it is a JSON list of lists."""
     value = payload[what]
     if type(value) is not list:
         raise TypeError(f"{what} must be a list, got {value!r}")
     if not set(map(type, value)) <= {list}:
         raise TypeError(f"{what} entry {next(row for row in value if type(row) is not list)!r} is not a list")
-    # as int64, numpy would read a JSON true/false as 1/0 and truncate a float, so the values' types are checked first
-    if not set(map(type, chain.from_iterable(value))) <= {int}:
-        bad = next(row for row in value if any(type(v) is not int for v in row))
-        raise TypeError(f"{what} entry {bad!r} holds a non-integer")
     return value
 
 
@@ -332,8 +349,12 @@ def _model_from_payload(payload: dict) -> NgramLm:
     alpha = payload["alpha"]
     if type(alpha) not in (int, float):
         raise TypeError(f"alpha must be a number, got {alpha!r}")
-    contexts = tuple(map(tuple, _int_lists(payload, "contexts")))
-    triples = _int_lists(payload, "counts")
+    contexts = tuple(map(tuple, _lists(payload, "contexts")))  # NgramLm checks their ids, the ids' types among them
+    triples = _lists(payload, "counts")
+    # as int64, numpy would read a JSON true/false as 1/0 and truncate a float, so the values' types are checked first
+    if not set(map(type, chain.from_iterable(triples))) <= {int}:
+        bad = next(triple for triple in triples if any(type(v) is not int for v in triple))
+        raise TypeError(f"counts entry {bad!r} holds a non-integer")
     if not set(map(len, triples)) <= {3}:
         raise ValueError(f"counts entry {next(t for t in triples if len(t) != 3)} is not a list of 3 integers")
     cells = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
@@ -373,9 +394,10 @@ class PromptConditionedLm:
     code starts from :meth:`start`, the code of the prompt's own window,
     computed once per prompt, and moves on by one token as
     ``(key * base + tok + 1) % base**need``, or by a run of tokens with
-    :meth:`shift`; BOS padding is digit 0, so it costs nothing.  A caller
-    that carries a code hands it to :meth:`walk` and :meth:`score_block`,
-    which then shift nothing in before the first row."""
+    :meth:`shift`, or two views' codes at once with :func:`_shift_pair`;
+    BOS padding is digit 0, so it costs nothing.  A caller that carries a
+    code hands it to :meth:`walk` and :meth:`score_block`, which then shift
+    nothing in before the first row."""
 
     sees_image: bool  # whether the flat prefix starts with the image context
 
@@ -426,31 +448,40 @@ class PromptConditionedLm:
         key: int | None = None,
     ) -> tuple[list[TokenId], list[ProbDist]]:
         """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
-        each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk takes ``n`` draws
-        at once, bisects each row's cdf with its own draw, as :func:`sample` does, and gives back the draws of the
-        tokens a stop cut off.  ``key``, if given, is ``generated``'s window code, which the caller carries;
-        without it the first row is :meth:`next_dist`'s, which perfbench patches, and its key is shifted from
-        :meth:`start` again for the rest.  Each later key is the last one shifted by the token just drawn, and
-        ``generated`` is never changed."""
+        each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk bisects each row's
+        cdf with its own draw, as :func:`sample` does, takes at most :data:`~mmspec.core.REFILL` draws at a time,
+        so a run that stops early never holds ``n`` of them, and gives back the draws of the tokens a stop cut
+        off.  ``key``, if given, is ``generated``'s window code, which the caller carries; without it the first
+        row is :meth:`next_dist`'s, which perfbench patches, and its key is shifted from :meth:`start` again for
+        the rest.  Each later key is the last one shifted by the token just drawn, and ``generated`` is never
+        changed."""
         if n < 1:
             return [], []
         row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)
-        draws = None if rng is None else rng.take(n)
+        draws = None if rng is None else rng.take(min(n, REFILL))
         tok = row._top if draws is None else bisect_right(row.cdf, draws[0])
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
             if key is None:
                 key = self.shift(self.start(prompt), generated)
             base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
-            for i in range(1, n):
-                key = (key * base + tok + 1) % mod
-                row = get(key, uniform)
-                tok = row._top if draws is None else bisect_right(row.cdf, draws[i])
-                tokens.append(tok)
-                rows.append(row)
-                if tok == stop:
-                    break
-        if draws is not None and len(tokens) < n:
+            i, end = 1, n if draws is None else len(draws)
+            while True:
+                for i in range(i, end):
+                    key = (key * base + tok + 1) % mod
+                    row = get(key, uniform)
+                    tok = row._top if draws is None else bisect_right(row.cdf, draws[i])
+                    tokens.append(tok)
+                    rows.append(row)
+                    if tok == stop:
+                        break
+                else:
+                    if end < n:  # the draws in hand ran out before a stop: take the next ones
+                        draws += rng.take(min(n - end, REFILL))
+                        i, end = end, len(draws)
+                        continue
+                break
+        if draws is not None and len(tokens) < len(draws):
             rng.untake(draws[len(tokens) :])
         return tokens, rows
 
@@ -471,6 +502,20 @@ class PromptConditionedLm:
             key = (key * base + tok + 1) % mod
             dists.append(get(key, uniform))
         return dists
+
+
+def _shift_pair(
+    first: PromptConditionedLm, second: PromptConditionedLm, key1: int, key2: int, tokens: Sequence[TokenId]
+) -> tuple[int, int]:
+    """``(first.shift(key1, tokens), second.shift(key2, tokens))`` in one call, not two: how a speculative run moves
+    both views' codes on by each block's emitted tokens."""
+    base, mod = first._base, first._mod
+    for tok in tokens[first._last]:
+        key1 = (key1 * base + tok + 1) % mod
+    base, mod = second._base, second._mod
+    for tok in tokens[second._last]:
+        key2 = (key2 * base + tok + 1) % mod
+    return key1, key2
 
 
 class MultimodalTargetLm(PromptConditionedLm):

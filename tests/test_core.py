@@ -10,6 +10,7 @@ from helpers import FixedUniform, assert_drawn, boundary_uniforms, clamped_cdf, 
 from mmspec.core import (
     AllZeroError,
     MultimodalPrompt,
+    REFILL,
     ProbDist,
     RngState,
     Vocab,
@@ -332,7 +333,7 @@ class TestRngState:
         with pytest.raises(ValueError, match=re.escape(f"got stream {shown}")):
             RngState(0, tuple(head)).substream(last)
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200, REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
     @pytest.mark.parametrize("before", [0, 37])
     def test_take_equals_scalar_draws(self, before, n):
         """After ``before`` draws, ``take(n)`` and one more ``uniform()`` are
@@ -344,13 +345,13 @@ class TestRngState:
         assert type(taken) is list and len(taken) == n
         assert got + taken + [rng.uniform()] == [gen.random() for _ in range(before + n + 1)]
 
-    @pytest.mark.parametrize("kept", [0, 1, 30, 64, 100])
+    @pytest.mark.parametrize("kept", [0, 1, 30, 64, 100, REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
     def test_untake_gives_back_the_tail(self, kept):
         """Draws given back by ``untake`` are the next ones again, in order,
         so the stream goes on as if only ``kept`` of them had been taken."""
         rng, fresh = RngState(3), RngState(3)
         rng.uniform()
-        draws = rng.take(100)
+        draws = rng.take(2 * REFILL + 1)
         rng.untake(draws[kept:])
         assert rng.take(150) == [fresh.uniform() for _ in range(151 + kept)][1 + kept :]
         assert_drawn(rng, 151 + kept)
@@ -361,7 +362,7 @@ class TestRngState:
         no state takes a draw."""
         derived, built = [], []
         philox = np.random.Philox
-        monkeypatch.setattr(core.np.random, "Philox", lambda *a: built.append(a) or philox(*a))
+        monkeypatch.setattr(core.np.random, "Philox", lambda *a, **kw: built.append(a) or philox(*a, **kw))
 
         class RecordingRng(RngState):
             def substream(self, *ids):

@@ -1,5 +1,6 @@
 """Tests for draft/verify primitives and the generation loops."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from mmspec.engine import (
     verify_greedy,
     verify_stochastic,
 )
+from mmspec.harness import CharTokenizer
 from mmspec.models import MultimodalTargetLm, TextOnlyDraftLm, train_ngram
 
 
@@ -653,6 +655,23 @@ class TestAutoregressive:
             assert target.queries == Counter(next_dist=1)
             walk_lookups = len(lookups) - 1  # the first lookup is next_dist's own
             assert walk_lookups == len(out) - 1
+
+    def test_eos_stop_holds_no_draws_for_the_length_limit(self):
+        """A stochastic baseline that stops at EOS after a few dozen tokens
+        holds about a refill of draws, not ``max_new_tokens`` of them: at a
+        limit of 65,536, taking them all up front peaked at ~3.7 MB."""
+        seqs, vocab = bundled_corpus()
+        target = MultimodalTargetLm(train_ngram(seqs, 3, 0.1, vocab))
+        prompt = MultimodalPrompt((1, 2, 3), tuple(CharTokenizer().encode("the ")))
+        want = autoregressive_generate(target, prompt, 256, "stochastic", RngState(0))
+        tracemalloc.start()
+        try:
+            out = autoregressive_generate(target, prompt, 65536, "stochastic", RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == want and len(out) < 256 and out[-1] == vocab.eos
+        assert peak < 1 << 16
 
     def test_stochastic_requires_rng(self):
         rng = np.random.default_rng(72)

@@ -644,6 +644,28 @@ class TestTrainModels:
             save_ngram(train_ngram(seqs, order, 0.1, vocab), tmp_path / f"{name}-alone.json")
             assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"{name}-alone.json").read_bytes()
 
+    def test_failed_second_write_keeps_previous_pair(self, tmp_path, monkeypatch):
+        """Retraining a 3/2 pair as 4/1, with the second model file's write
+        failing, keeps both previous files' bytes and leaves no temporary
+        file: never a new target beside the old draft."""
+        train_models(demo_corpus_path(), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(before) == {"target.json", "draft.json"}
+        write_text, calls = Path.write_text, []
+
+        def second_fails(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_fails)
+        with pytest.raises(OSError, match="disk full"):
+            train_models(demo_corpus_path(), tmp_path, target_order=4, draft_order=1)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("orders", [(0, 2), (3, -1)])
     def test_rejects_order_below_one_before_training(self, tmp_path, orders):
         with pytest.raises(TrainingError, match=f"order must be >= 1, got {min(orders)}"):

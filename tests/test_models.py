@@ -25,7 +25,7 @@ from helpers import (
     random_vocab,
 )
 
-from mmspec.core import MultimodalPrompt, RngState, Vocab, sample
+from mmspec.core import REFILL, MultimodalPrompt, RngState, Vocab, sample
 from mmspec.engine import SpdConfig, autoregressive_generate, spd_generate
 from mmspec import models
 from mmspec.harness import CharTokenizer, demo_corpus_path
@@ -144,13 +144,21 @@ class TestTrainNgram:
                          r"context \[-2, 1\] holds an id outside", id="id-below-bos"),
             pytest.param(3, ((1, 1), (0, 5)), np.zeros((2, 3), dtype=np.int64),
                          r"context \[0, 5\] holds an id outside", id="colliding-codes"),
+            pytest.param(3, ((0.5,), (True,)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[0.5\] holds a non-integer", id="float-id"),
+            pytest.param(3, ((1, 2), (True, 0)), np.zeros((2, 3), dtype=np.int64),
+                         r"context \[True, 0\] holds a non-integer", id="bool-id"),
+            pytest.param(3, ((np.int64(1),) * 39,), np.zeros((1, 3), dtype=np.int64),
+                         r"\] holds a non-integer", id="numpy-id"),
         ],
     )
     def test_constructor_rejects_bad_count_matrix(self, vocab_size, contexts, counts, reason):
         """A count matrix must be one integer row of ``vocab.size`` non-negative
         counts per context; a huge vocab size fails before any row is allocated.
-        Each context must be ``order - 1`` ids, each BOS or in ``[0, V)``, and
-        appear once: ``(0, 5)`` would share ``(1, 1)``'s code at V = 3."""
+        Each context must be ``order - 1`` integer ids, each BOS or in
+        ``[0, V)``, and appear once: ``(0, 5)`` would share ``(1, 1)``'s code
+        at V = 3, ``0.5`` would code as a float, ``True`` as id 1, and
+        numpy ids in int64 arithmetic, which wraps past ``2**63`` at order 40."""
         order = len(contexts[0]) + 1 if contexts else 2  # the first context's width
         with pytest.raises(ValueError, match=reason):
             NgramLm(Vocab(vocab_size, 0), order, 1.0, contexts, counts)
@@ -982,8 +990,8 @@ class TestWalk:
         assert len(seen) == 3, seen
 
     def test_stopped_walk_leaves_the_stream_where_the_loop_does(self):
-        """A stochastic walk takes ``n`` draws at once and gives back those of
-        the tokens a stop cut off: after each walk of a run on one stream,
+        """A stochastic walk gives back the draws of the tokens a stop cut
+        off: after each walk of a run on one stream,
         with ``n`` up to twice a batch and with and without an EOS stop, the
         next draw is the reference loop's next draw."""
         rng = np.random.default_rng(520)
@@ -998,3 +1006,32 @@ class TestWalk:
             assert walk_rng.uniform() == loop_rng.uniform()
             seen["stopped" if len(tokens) < n else "ran to n"] += 1
         assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("n", [REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
+    def test_walk_takes_a_refill_at_a_time(self, n):
+        """A stochastic walk takes at most :data:`REFILL` draws at a time,
+        yet equals the reference loop and leaves the stream where the loop
+        does: without a stop, with a stop that never comes, and with stops
+        first drawn before and after the walk's first refill runs out."""
+
+        class Takes(RngState):
+            def take(self, k):
+                self.sizes.append(k)
+                return super().take(k)
+
+        rng = np.random.default_rng(530)
+        vocab = Vocab(size=1000, eos=0)
+        view = MultimodalTargetLm(random_model(rng, vocab, order=2, n_seqs=4))  # most rows are the uniform one
+        prompt = random_prompt(rng, vocab)
+        full = loop_walk(view, prompt, [], n, RngState(53))[0]
+        firsts = {tok: i for i, tok in reversed(list(enumerate(full)))}  # each token's first index
+        early = next(tok for tok, i in firsts.items() if 10 < i < REFILL - 1)
+        stops = [None, vocab.size, early] + [tok for tok, i in firsts.items() if i >= REFILL][:1]
+        assert len(stops) == 3 + (n > REFILL)
+        for stop in stops:
+            walk_rng, loop_rng = Takes(53), RngState(53)
+            walk_rng.sizes = []
+            tokens, _ = view.walk(prompt, [], n, walk_rng, stop)
+            assert tokens == loop_walk(view, prompt, [], n, loop_rng, stop)[0]
+            assert walk_rng.uniform() == loop_rng.uniform()
+            assert max(walk_rng.sizes) <= REFILL and sum(walk_rng.sizes) >= len(tokens)

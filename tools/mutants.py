@@ -57,8 +57,8 @@ H = "src/mmspec/harness.py"
 
 MUTANTS = [
     # Window codes, rows and the prompt tail.
-    Mutant(M, "for i in range(1, n):\n                key = (key * base + tok + 1) % mod",
-           "for i in range(1, n):\n                key = key * base + tok + 1",
+    Mutant(M, "for i in range(i, end):\n                    key = (key * base + tok + 1) % mod",
+           "for i in range(i, end):\n                    key = key * base + tok + 1",
            "a walk shifts its key without % mod"),
     Mutant(M, "for tok in block:\n            key = (key * base + tok + 1) % mod",
            "for tok in block:\n            key = key * base + tok + 1",
@@ -90,6 +90,12 @@ MUTANTS = [
            "stream ids are lost from the key"),
     Mutant(C, '.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little")', '.to_bytes(4, "little")',
            "one word per stream id"),
+    Mutant(C, "self._batch = self._draw(REFILL)[::-1]", "self._batch = self._draw(REFILL)[:-1][::-1]",
+           "a refill drops its last draw"),
+    Mutant(C, "_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)", "_ZERO_COUNTER = np.array([1, 0, 0, 0], dtype=np.uint64)",
+           "Philox starts from a non-zero counter"),
+    Mutant(M, "if end < n:", "if False:",
+           "a walk ends when its first refill's worth of draws runs out"),
     Mutant(C, "if not all(map(is_integer, ids)) or min(ids, default=0) < 0:", "if not all(map(is_integer, ids)):",
            "a negative stream id is accepted"),
     Mutant(C, "return isinstance(value, (int, np.integer)) and type(value) is not bool",
@@ -115,12 +121,20 @@ MUTANTS = [
     Mutant(E, '        as_integer("max_new_tokens", max_new_tokens)\n', "        pass\n",
            "autoregressive_generate takes a float max_new_tokens"),
     # Codes carried through a speculative run.
-    Mutant(E, "draft.shift(draft_key, emitted), target.shift(target_key, emitted)",
-           "draft.shift(draft_key, emitted[:-1]), target.shift(target_key, emitted[:-1])",
+    Mutant(E, "_shift_pair(draft, target, draft_key, target_key, emitted)",
+           "_shift_pair(draft, target, draft_key, target_key, emitted[:-1])",
            "the correction or bonus token is not shifted in"),
-    Mutant(E, "draft.shift(draft_key, emitted), target.shift(target_key, emitted)",
-           "draft.shift(draft_key, record.draft_tokens), target.shift(target_key, record.draft_tokens)",
+    Mutant(E, "_shift_pair(draft, target, draft_key, target_key, emitted)",
+           "_shift_pair(draft, target, draft_key, target_key, record.draft_tokens)",
            "the drafted tokens are shifted in, not the emitted ones"),
+    Mutant(M, "for tok in tokens[second._last]:", "for tok in tokens[:-1][second._last]:",
+           "_shift_pair skips the correction or bonus token in the second view's code"),
+    Mutant(M, "for tok in tokens[first._last]:\n        key1 = (key1 * base + tok + 1) % mod",
+           "for tok in tokens[first._last]:\n        key1 = key1 * base + tok + 1",
+           "_shift_pair moves the first view's code without % mod"),
+    Mutant(M, "for tok in tokens[second._last]:\n        key2 = (key2 * base + tok + 1) % mod",
+           "for tok in tokens[second._last]:\n        key2 = (key2 * base + tok + 1) % first._mod",
+           "_shift_pair moves the second view's code modulo the first's"),
     Mutant(M, "for tok in tokens[self._last]:\n            key = (key * base + tok + 1) % mod",
            "for tok in tokens[self._last]:\n            key = key * base + tok + 1",
            "shift skips % mod"),
@@ -134,6 +148,13 @@ MUTANTS = [
     Mutant(M, "row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)",
            "row = self.next_dist(prompt, generated)",
            "a walk given a code still calls next_dist"),
+    # Block records.
+    Mutant(E, '(tokens, j, tokens[:j] + (fix,), "residual-resample")',
+           '(tokens, tokens[:j] + (fix,), j, "residual-resample")',
+           "a residual-resample record swaps accepted and emitted"),
+    Mutant(E, '(tokens, n, tokens + (argmax(target_dists[n]),), "bonus")',
+           '(tokens + (argmax(target_dists[n]),), n, tokens, "bonus")',
+           "a greedy bonus record swaps draft_tokens and emitted"),
     # Model contexts, the row builder and the file boundary.
     Mutant(M, "if len(set(contexts)) < len(contexts):", "if False:",
            "NgramLm accepts a repeated context"),
@@ -141,6 +162,11 @@ MUTANTS = [
            "NgramLm's id check admits V"),
     Mutant(M, "if set(map(len, contexts)) != {order - 1}:", "if False:",
            "NgramLm skips the width check"),
+    Mutant(M, "if not set(map(type, chain.from_iterable(contexts))) <= {int}:", "if False:",
+           "NgramLm takes a float, bool or numpy context id"),
+    Mutant(H, "_write_atomic({target_path: _ngram_text(target), draft_path: _ngram_text(draft)})",
+           "_write_atomic({target_path: _ngram_text(target)})\n    _write_atomic({draft_path: _ngram_text(draft)})",
+           "train_models writes the target and the draft in two writes"),
     Mutant(C, "tmps[path].write_text(text, encoding=\"utf-8\", newline=\"\")\n        for path, tmp in tmps.items():\n"
               "            os.replace(tmp, path)",
            "tmps[path].write_text(text, encoding=\"utf-8\", newline=\"\")\n            os.replace(tmps[path], path)",
