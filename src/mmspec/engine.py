@@ -24,6 +24,7 @@ the target view; verification reads rows as floats through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -121,6 +122,7 @@ class BlockRecord(NamedTuple):
 # ``_new_record(BlockRecord, (draft_tokens, accepted, emitted, correction_kind))`` builds a record in C, without
 # the Python-level ``__new__`` frame a NamedTuple's constructor costs on every block.
 _new_record = tuple.__new__
+_DRAFTED, _EMITTED = attrgetter("draft_tokens"), attrgetter("emitted")
 
 
 @dataclass
@@ -135,11 +137,11 @@ class BlockTrace:
 
     @property
     def draft_calls(self) -> int:
-        return sum(len(b.draft_tokens) for b in self.blocks)
+        return sum(map(len, map(_DRAFTED, self.blocks)))
 
     @property
     def total_emitted(self) -> int:
-        return sum(len(b.emitted) for b in self.blocks)
+        return sum(map(len, map(_EMITTED, self.blocks)))
 
 
 # --------------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ import functools
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -90,8 +91,10 @@ CHAT_PREAMBLE = (
 )
 CAPTION_INSTRUCTION = "Provide a detailed description of the given image"
 
-# Each report column prints the PromptRun field of the same name.
+# Each report column prints the PromptRun field of the same name, and a row is one %-format of them: a float
+# as .12g, anything else by str(), a string as csv quotes it (see _write_report).
 CSV_COLUMNS = tuple(f.name for f in fields(PromptRun))
+_ROW = ",".join("%.12g" if f.type == "float" else "%s" for f in fields(PromptRun)) + "\n"
 
 # Config fields that name files: required, resolved against the config's
 # directory, and echoed in reports by file name only.
@@ -230,9 +233,10 @@ def render_template(template: str, record: PromptRecord, tokenizer: CharTokenize
     return tuple(tokenizer.encode(body))
 
 
-# A record's optional JSON fields, named as PromptRecord's: lists with the type of their items, and strings.
-_LIST_FIELDS = {"image_ctx": int, "tokens": int, "options": str}
-_TEXT_FIELDS = ("prompt_text", "question", "context")
+# A record's optional JSON fields, named as PromptRecord's and in the order they are checked: a list field with
+# the type of its items, a string field with None.
+_FIELDS = {"image_ctx": int, "tokens": int, "options": str, "prompt_text": None, "question": None, "context": None}
+_NAMES = {"id", *_FIELDS}
 
 
 def load_dataset(path: str | Path) -> list[PromptRecord]:
@@ -240,7 +244,8 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
 
     Raises:
         ValueError: on a byte that is not UTF-8, malformed lines, fields
-            of the wrong type (a prompt id must be a non-empty string), an
+            of the wrong type (a prompt id must be a non-empty string with
+            no carriage return, which ``report.csv`` would not quote), an
             image or prompt token id outside the tokenizer's vocabulary,
             duplicate ids, or an empty dataset, with the file and the
             offending line number in the message.
@@ -253,22 +258,26 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, an integer too long to convert, or nested too deep
             raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict) or "id" not in obj:
             raise ValueError(f"{path}:{lineno}: expected an object with an 'id' field")
-        extra = set(obj) - {"id", *_LIST_FIELDS, *_TEXT_FIELDS}
+        extra = obj.keys() - _NAMES
         if extra:
             raise ValueError(f"{path}:{lineno}: unknown fields {sorted(extra)}")
         try:
-            for key, item in _LIST_FIELDS.items():  # exact types: a bool, float or string id is an error
-                if key in obj and (type(obj[key]) is not list or any(type(v) is not item for v in obj[key])):
-                    raise TypeError(f"{key!r} must be a list of {item.__name__}, got {obj[key]!r}")
-            for key in _TEXT_FIELDS:
-                if key in obj and type(obj[key]) is not str:
-                    raise TypeError(f"{key!r} must be a string, got {obj[key]!r}")
+            for key, item in _FIELDS.items():  # one pass, exact types: a bool, float or string id is an error
+                if key not in obj:
+                    continue
+                value = obj[key]
+                if item is None and type(value) is not str:
+                    raise TypeError(f"{key!r} must be a string, got {value!r}")
+                if item is not None and (type(value) is not list or not set(map(type, value)) <= {item}):
+                    raise TypeError(f"{key!r} must be a list of {item.__name__}, got {value!r}")
             if type(obj["id"]) is not str or not obj["id"]:
                 raise TypeError(f"'id' must be a non-empty string, got {obj['id']!r}")
+            if "\r" in obj["id"]:  # csv.writer leaves a lone CR unquoted, so report.csv would split the row there
+                raise TypeError(f"'id' must not hold a carriage return, got {obj['id']!r}")
             rec = PromptRecord(prompt_id=obj.pop("id"), **obj)
             ids = rec.image_ctx + rec.tokens if rec.tokens else rec.image_ctx  # one check for both, as most pass
             if ids and not 0 <= min(ids) <= max(ids) < size:
@@ -517,37 +526,39 @@ def generate_for_prompt(
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
     """Run the full benchmark and write ``report.csv`` / ``report.json``.
 
-    For each gamma, every prompt gets an autoregressive baseline and a
-    speculative run from matched seeds; the reports read only the
-    speculative run, as the modeled baseline always emits one token per
-    second.  Rows are sorted by
+    The sweep is prompt-major: each prompt, in dataset order, runs at every
+    gamma before the next, so each view's cached ``start`` code serves all
+    its gammas.  Every (prompt, gamma) gets an autoregressive baseline and
+    a speculative run from matched seeds, keyed by gamma and prompt index,
+    not by sweep order; the reports read only the speculative run, as the
+    modeled baseline always emits one token per second.  Rows are sorted by
     (prompt_id, gamma); identical configs produce byte-identical reports.
     Partially written outputs are removed on failure.
     """
     ctx = _load_context(cfg)
     cost = CostModel(cfg.cost_c)
     runs: list[PromptRun] = []
-    for gamma in cfg.gammas:
-        for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):
+    for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):
+        for gamma in cfg.gammas:
             _, spd, trace = generate_for_prompt(
                 ctx.target, ctx.draft, prompt, cfg, gamma=gamma, prompt_index=idx
             )
-            tau = block_efficiency(trace)
+            calls, tau = trace.target_calls, block_efficiency(trace)
             runs.append(
                 PromptRun(
                     prompt_id=rec.prompt_id,
                     gamma=gamma,
                     mode=cfg.mode,
                     tokens=len(spd),
-                    target_calls=trace.target_calls,
+                    target_calls=calls,
                     tau=tau,
                     mbsu=mbsu(tau, gamma, cost),
                     mbsu_c_scaled=mbsu_c_scaled(tau, gamma, cost),
                     # modeled clock: one target pass is 1 s, one draft pass is c s
-                    wall_time_s=float(trace.target_calls) + cost.c * float(trace.draft_calls),
+                    wall_time_s=float(calls) + cost.c * trace.draft_calls,
                 )
             )
-    runs.sort(key=lambda r: (r.prompt_id, r.gamma))
+    runs.sort(key=attrgetter("prompt_id", "gamma"))
     aggregates = tuple(
         aggregate([r for r in runs if r.gamma == gamma]) for gamma in cfg.gammas
     )
@@ -556,20 +567,32 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> RunReport:
     return report
 
 
-def _fmt(value) -> str:
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+def _csv_cells(texts) -> dict[str, str]:
+    """Each of ``texts`` as ``csv`` writes it beside another cell (alone, an empty text would read ``""``)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = {}
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        cells[text] = buf.getvalue()[:-2]
+    return cells
 
 
 def _write_report(report: RunReport, out_dir: Path) -> None:
-    """Write ``report.csv`` and ``report.json`` together with :func:`_write_atomic`: a failure keeps the last report."""
-    rows = io.StringIO()
-    writer = csv.writer(rows, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([_fmt(getattr(r, col)) for col in CSV_COLUMNS] for r in report.runs)
+    """Write ``report.csv`` and ``report.json`` together with :func:`_write_atomic`: a failure keeps the last report.
+
+    A CSV row is one ``_ROW`` format, fed a column at a time; each distinct text goes through ``csv`` once."""
+    columns = []
+    for f in fields(PromptRun):
+        column = list(map(attrgetter(f.name), report.runs))
+        columns.append(map(_csv_cells(set(column)).__getitem__, column) if f.type == "str" else column)
+    csv_text = ",".join(CSV_COLUMNS) + "\n" + "".join(map(_ROW.__mod__, zip(*columns)))
     payload = {"config": report.config, "per_gamma": [asdict(a) for a in report.aggregates]}
     json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic({out_dir / "report.csv": rows.getvalue(), out_dir / "report.json": json_text})
+    _write_atomic({out_dir / "report.csv": csv_text, out_dir / "report.json": json_text})
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,8 @@
 """Shared builders for test instances (models, prompts, dists, traces)."""
 
+import csv
+import io
+
 import numpy as np
 
 from mmspec.core import MultimodalPrompt, ProbDist, RngState, Vocab, argmax, sample
@@ -13,7 +16,7 @@ from mmspec.engine import (
     verify_greedy,
     verify_stochastic,
 )
-from mmspec.harness import CharTokenizer, demo_corpus_path
+from mmspec.harness import CSV_COLUMNS, CharTokenizer, demo_corpus_path
 from mmspec.models import BOS, NgramLm, train_ngram
 
 
@@ -206,6 +209,17 @@ def trace_from_emission_counts(counts, gamma=1):
     return BlockTrace(
         [BlockRecord((0,) * gamma, min(n - 1, gamma), (0,) * n, "bonus") for n in counts]
     )
+
+
+def csv_writer_report(runs):
+    """``report.csv``'s text as ``csv.writer`` renders it, a float cell as ``.12g`` and any other by ``str``:
+    the reference the one-format row renderer is checked against."""
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in map(r.__getattribute__, CSV_COLUMNS)]
+                     for r in runs)
+    return rows.getvalue()
 
 
 def accept_law(target, draft, window, gamma):

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness: tokenizer, templates, datasets, runs."""
 
+import csv
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from helpers import bundled_corpus
+from helpers import bundled_corpus, csv_writer_report
 
 from mmspec.harness import (
     CAPTION_INSTRUCTION,
@@ -36,7 +37,7 @@ from mmspec.harness import (
 from mmspec import engine, harness, models
 from mmspec.core import MultimodalPrompt, RngState, Vocab
 from mmspec.engine import SpdConfig
-from mmspec.metrics import PromptRun
+from mmspec.metrics import PromptRun, RunReport
 from mmspec.models import (
     EmptyCorpusError,
     MultimodalTargetLm,
@@ -240,6 +241,15 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=":2:"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "[" * 100000 + "]" * 100000], ids=["long-int", "deep"])
+    def test_unparsable_value_names_the_line(self, tmp_path, value):
+        """An integer past Python's digit limit and a value nested past the
+        recursion limit are JSON errors of their line, not bare ones."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "prompt_text": "x"}\n{"id": "b", "image_ctx": %s}\n' % value, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"deep\.jsonl:2: not valid JSON"):
+            load_dataset(path)
+
     def test_not_utf8_names_the_line_the_reader_counts(self, tmp_path):
         """The line of a bad byte is counted as the records are, so a bare
         carriage return ends a line too."""
@@ -304,11 +314,12 @@ class TestLoadDataset:
             ("id", '"id": 3, "prompt_text": "x"'),
             ("id", '"id": 1.5, "prompt_text": "x"'),
             ("id", '"id": "", "prompt_text": "x"'),
+            ("id", '"id": "cr\\rid", "prompt_text": "x"'),
         ],
     )
     def test_wrong_field_type_names_line(self, tmp_path, name, fields):
-        """Prompt ids must be non-empty strings, token ids JSON integers and
-        text fields strings; nothing is coerced."""
+        """Prompt ids must be non-empty strings without a carriage return,
+        token ids JSON integers and text fields strings; nothing is coerced."""
         path = tmp_path / "typed.jsonl"
         if name != "id":
             fields = '"id": "b", ' + fields
@@ -723,6 +734,25 @@ class TestHarnessGeneration:
             differs = differs or runs[0] != runs[2]
         assert differs, "different seeds never changed a stochastic output"
 
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    @pytest.mark.parametrize("stop_on_eos, max_new_tokens", [(True, 64), (False, 23)], ids=["eos-cut", "length-cut"])
+    def test_every_block_drafts_gamma_tokens(self, demo_cfg, mode, stop_on_eos, max_new_tokens):
+        """A block drafts all gamma tokens before verification, so the trace's
+        draft calls are gamma per target call, also where EOS or the length
+        limit cut the last block's emission, which some runs here do."""
+        cfg = replace(demo_cfg, mode=mode, stop_on_eos=stop_on_eos, max_new_tokens=max_new_tokens)
+        target, draft = load_pair(cfg)
+        cuts = set()
+        for gamma in (2, 5):
+            for idx, (_, prompt) in enumerate(rendered_prompts(cfg)):
+                _, spd, trace = generate_for_prompt(target, draft, prompt, cfg, gamma=gamma, prompt_index=idx)
+                assert trace.draft_calls == gamma * trace.target_calls
+                assert trace.total_emitted == len(spd)
+                last = trace.blocks[-1]
+                if len(last.emitted) <= last.accepted:  # cut: an emission is the accepted prefix and one more token
+                    cuts.add("length" if len(spd) == max_new_tokens else "eos")
+        assert ("eos" if stop_on_eos else "length") in cuts
+
     def test_residual_memo_made_on_first_use(self, demo_cfg):
         """A greedy sweep over the demo dataset leaves every row of both
         tables without a residuals dict; a stochastic sweep makes some."""
@@ -762,6 +792,12 @@ class TestRunExperiment:
             runs = [r for r in report.runs if r.gamma == agg.gamma]
             assert agg.token_rate_ratio == sum(r.tokens for r in runs) / sum(r.wall_time_s for r in runs)
 
+    def test_wall_time_is_a_float_for_an_integer_cost(self, demo_cfg, tmp_path):
+        """``cost_c: 1`` is a valid config; the modeled clock is still a
+        float, as ``PromptRun.wall_time_s`` is typed and the report prints."""
+        report = run_experiment(replace(demo_cfg, cost_c=1), tmp_path)
+        assert {type(r.wall_time_s) for r in report.runs} == {float}
+
     def test_byte_identical_reruns(self, demo_cfg, tmp_path):
         run_experiment(demo_cfg, tmp_path / "a")
         run_experiment(demo_cfg, tmp_path / "b")
@@ -799,6 +835,25 @@ class TestRunExperiment:
                 run_experiment(cfg, tmp_path / mode)
             assert (len(built) > 0) == (mode == "stochastic"), mode
             built.clear()
+
+    def test_sweep_is_prompt_major_and_order_free(self, demo_cfg, tmp_path, monkeypatch):
+        """The sweep runs each prompt at every gamma, in config order, before
+        the next prompt; each (prompt, gamma) output equals a standalone
+        call's, made here in the reverse order on freshly loaded models."""
+        cfg = replace(demo_cfg, mode="stochastic", gammas=(3, 1), max_new_tokens=24)
+        generate, calls = harness.generate_for_prompt, []
+
+        def recording(*args, gamma, prompt_index):
+            calls.append(((prompt_index, gamma), generate(*args, gamma=gamma, prompt_index=prompt_index)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "generate_for_prompt", recording)
+        run_experiment(cfg, tmp_path)
+        prompts = rendered_prompts(cfg)
+        assert [key for key, _ in calls] == [(idx, gamma) for idx in range(len(prompts)) for gamma in cfg.gammas]
+        target, draft = load_pair(cfg)
+        for (idx, gamma), outputs in reversed(calls):
+            assert generate(target, draft, prompts[idx][1], cfg, gamma=gamma, prompt_index=idx) == outputs
 
     def test_each_gamma_builds_one_spd_config(self, demo_cfg, tmp_path, monkeypatch):
         """A sweep builds and checks one ``SpdConfig`` per gamma, shared by
@@ -914,6 +969,38 @@ class TestRunExperiment:
             run_experiment(replace(demo_cfg, gammas=(2,)), tmp_path)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestReportCsv:
+    """Each ``report.csv`` row is one format of its run; only ``csv`` decides how a text cell is quoted."""
+
+    IDS = ("q00", "a,b", 'say "hi"', "two\nlines", "tab\there", " lead", "caf\u00e9 \u56fe", "nul\u0000id", '"', ",")
+
+    def test_rows_match_csv_writer_reference(self, tmp_path):
+        floats = [1e-13, 1 / 3, 2.0, 123456789012.5, 1e16, 0.0, 99999999999.95, 4.5e-05, 0.1 + 0.2, 7e22]
+        rng = np.random.default_rng(27)
+        floats += [float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-20, 21)) for _ in range(30)]
+        runs = [
+            PromptRun(pid, gamma, mode, 10 + i, 2**40 + i, *(floats[(4 * i + k) % len(floats)] for k in range(4)))
+            for i, (pid, gamma, mode) in enumerate(
+                (pid, gamma, mode) for pid in self.IDS for gamma in (1, 7) for mode in ("greedy", 'x,"y"')
+            )
+        ]
+        harness._write_report(RunReport(config={}, runs=tuple(runs), aggregates=()), tmp_path)
+        assert (tmp_path / "report.csv").read_bytes() == csv_writer_report(runs).encode("utf-8")
+
+    def test_awkward_ids_read_back(self, demo_cfg, tmp_path):
+        """Ids holding a comma, a quote, LF, tab, NUL, a leading space or
+        non-ASCII text each read back whole, one row per (prompt, gamma)."""
+        dataset = tmp_path / "ids.jsonl"
+        dataset.write_text("".join(json.dumps({"id": pid, "prompt_text": "The cat"}) + "\n" for pid in self.IDS),
+                           encoding="utf-8")
+        report = run_experiment(replace(demo_cfg, dataset=str(dataset), gammas=(1, 3), max_new_tokens=8), tmp_path)
+        with open(tmp_path / "report.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert [row[:3] for row in rows[1:]] == [[r.prompt_id, str(r.gamma), r.mode] for r in report.runs]
+        assert sorted(row[0] for row in rows[1:]) == sorted(self.IDS * 2)
 
 
 class TestResidualTables:

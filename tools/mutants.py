@@ -177,6 +177,25 @@ MUTANTS = [
            "ProbDist(probs) and ProbDist.table clamp only the last cdf entry"),
     Mutant(C, 'if name_line else ""', 'if False else ""',
            "the reader drops the line number"),
+    # Report rows, the sweep and its bookkeeping.
+    Mutant(H, '"%.12g" if f.type == "float"', '"%.11g" if f.type == "float"',
+           "report floats are written to 11 significant digits"),
+    Mutant(H, 'columns.append(map(_csv_cells(set(column)).__getitem__, column) if f.type == "str" else column)',
+           "columns.append(column)",
+           "report text cells are written without csv quoting"),
+    Mutant(H, 'if "\\r" in obj["id"]:', "if False:",
+           "a prompt id holding a carriage return is accepted"),
+    Mutant(H, "not set(map(type, value)) <= {item}", "not set(map(type, value)) <= {item, bool}",
+           "a dataset list takes a bool item"),
+    Mutant(H, "    for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):\n        for gamma in cfg.gammas:",
+           "    for gamma in cfg.gammas:\n        for idx, (rec, prompt) in enumerate(zip(ctx.records, ctx.prompts)):",
+           "the sweep is gamma-major"),
+    Mutant(H, "wall_time_s=float(calls) +", "wall_time_s=calls +",
+           "an integer cost_c makes the modeled clock an int"),
+    Mutant(E, "return sum(map(len, map(_EMITTED, self.blocks)))", "return sum(map(len, map(_DRAFTED, self.blocks)))",
+           "total_emitted sums the drafted tokens"),
+    Mutant(E, "return sum(map(len, map(_DRAFTED, self.blocks)))", "return sum(map(len, map(_EMITTED, self.blocks)))",
+           "draft_calls sums the emitted tokens"),
 ]
 
 
