@@ -11,8 +11,9 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,7 +137,7 @@ class MultimodalPrompt:
             raise ValueError("prompt text must be non-empty")
 
 
-# Draws a stream takes from its generator at a time: one Generator.random(256) costs about half of four random(64).
+# Draws a stream reads from its generator at a time: one Generator.random(256) costs about half of four random(64).
 REFILL = 256
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's default counter, which numpy only reads
 _ZERO_COUNTER.setflags(write=False)
@@ -147,15 +148,16 @@ class RngState:
 
     Each named substream is an independent counter-based Philox stream keyed
     by the 64-bit seed plus a tuple of stream ids, and nothing global is
-    touched.  The generator is built on the first draw, so a state that
-    never draws (greedy decoding) costs no key derivation.  Draws come in
-    refills of :data:`REFILL`, which equal as many scalar draws (~0.04 us,
-    not ~1 us, each), so a speculative run's three streams pay about one
-    refill each.  :meth:`take` hands out many at once, and :meth:`untake`
-    gives back the ones a caller did not use.
+    touched.  A state is one cursor over its draws: :meth:`uniform` reads
+    the next one, and ``iter(state)`` is the cursor itself, so a caller can
+    read many with ``islice`` and a draw it never reads stays the next one.
+    The cursor reads refills of :data:`REFILL` draws, which cost what as
+    many scalar draws do at ~0.04 us, not ~1 us, each, and holds at most one.
+    The generator is built on the first draw, so a state that never draws
+    (greedy decoding) costs no key derivation.
     """
 
-    __slots__ = ("seed", "stream", "_gen", "_batch")
+    __slots__ = ("seed", "stream", "_draws")
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()) -> None:
         # int() would truncate a float and read a bool as 0 or 1, so only integers, numpy ones too, pass
@@ -166,44 +168,15 @@ class RngState:
         if not all(map(is_integer, ids)) or min(ids, default=0) < 0:
             raise ValueError(f"stream ids must be non-negative integers, got stream {ids!r}")
         self.stream = tuple(map(int, ids))
-        self._gen: np.random.Generator | None = None
-        self._batch: list[float] = []  # the rest of the current refill, last draw first
+        self._draws = chain.from_iterable(_refills(self.seed, self.stream))
 
     def uniform(self) -> float:
         """Next uniform draw in ``[0, 1)``."""
-        if not self._batch:
-            self._batch = self._draw(REFILL)[::-1]
-        return self._batch.pop()
+        return next(self._draws)
 
-    def take(self, n: int) -> list[float]:
-        """The next ``n`` draws in ``[0, 1)``, in order: what ``n`` calls of
-        :meth:`uniform` return."""
-        batch, short = self._batch, n - len(self._batch)
-        if short > 0:  # whole refills go behind the rest of this one
-            batch[:0] = self._draw(-(-short // REFILL) * REFILL)[::-1]
-        draws = batch[len(batch) - n :]
-        del batch[len(batch) - n :]
-        draws.reverse()
-        return draws
-
-    def untake(self, draws: list[float]) -> None:
-        """Give back ``draws``, the unused tail of the last :meth:`take`: they are the next draws again."""
-        self._batch += draws[::-1]
-
-    def _draw(self, n: int) -> list[float]:
-        """``n`` fresh draws from the generator, which the first one builds.
-
-        Its key is ``SeedSequence(seed, spawn_key=stream)``'s, built from the
-        one uint32 array numpy assembles for it: the seed's 32-bit words,
-        least significant first, zero-padded to the pool's 4 (numpy pads only
-        before a stream, but its pool mixes a missing word as 0), then each
-        stream id's words.  Its counter is numpy's default, zero, passed as an
-        array, which spares numpy's conversion of the int 0."""
-        if self._gen is None:
-            ids = b"".join(s.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little") for s in self.stream)
-            key = np.random.SeedSequence(np.frombuffer(self.seed.to_bytes(16, "little") + ids, dtype="<u4"))
-            self._gen = np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
-        return self._gen.random(n).tolist()
+    def __iter__(self) -> Iterator[float]:
+        """The stream's one cursor, which :meth:`uniform` reads too: the draws from the next one on, without end."""
+        return self._draws
 
     def substream(self, *ids: int) -> "RngState":
         """Fresh stream for ``(seed, stream + ids)``.
@@ -215,6 +188,27 @@ class RngState:
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, stream={self.stream})"
+
+
+def _philox(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
+    """The generator of ``(seed, stream)``.
+
+    Its key is ``SeedSequence(seed, spawn_key=stream)``'s, built from the one
+    uint32 array numpy assembles for it: the seed's 32-bit words, least
+    significant first, zero-padded to the pool's 4 (numpy pads only before a
+    stream, but its pool mixes a missing word as 0), then each stream id's
+    words.  Its counter is numpy's default, zero, passed as an array, which
+    spares numpy's conversion of the int 0."""
+    ids = b"".join(s.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little") for s in stream)
+    key = np.random.SeedSequence(np.frombuffer(seed.to_bytes(16, "little") + ids, dtype="<u4"))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+
+
+def _refills(seed: int, stream: tuple[int, ...]) -> Iterator[list[float]]:
+    """The draws of ``(seed, stream)``, :data:`REFILL` at a time; the first step builds the generator."""
+    random = _philox(seed, stream).random
+    while True:
+        yield random(REFILL).tolist()
 
 
 def is_integer(value: object) -> bool:
@@ -232,13 +226,23 @@ def as_integer(name: str, value: object) -> int:
 
 def _read_utf8(path: Path, *, name_line: bool = True) -> str:
     """The text of ``path``, or a ValueError naming it, the offset of its first byte that is not UTF-8 and,
-    with ``name_line``, that byte's line as ``str.splitlines`` counts lines (the line-based readers' count)."""
+    with ``name_line``, that byte's line as :func:`_lines` counts lines (the line-based readers' count)."""
     data = path.read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = f":{len((data[: exc.start].decode('utf-8') + 'x').splitlines())}" if name_line else ""
+        line = f":{len(_lines(data[: exc.start].decode('utf-8') + 'x'))}" if name_line else ""
         raise ValueError(f"{path}{line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, as every line-based reader numbers them: a line ends at ``\\n``, which is dropped
+    with a ``\\r`` just before it, so CRLF text reads as LF text.  Every other character stays in its line, a
+    lone ``\\r`` and the other breaks ``str.splitlines`` knows (form feed, U+2028, ...) among them."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:  # what follows the last newline: no line when it is empty
+        lines.pop()
+    return lines
 
 
 def _write_atomic(texts: dict[Path, str]) -> None:

@@ -23,7 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, as_integer, _read_utf8, _write_atomic
+from mmspec.core import MultimodalPrompt, RngState, TokenId, Vocab, as_integer, _lines, _read_utf8, _write_atomic
 from mmspec.engine import (
     MODES,
     BlockTrace,
@@ -253,7 +253,7 @@ def load_dataset(path: str | Path) -> list[PromptRecord]:
     path, size = Path(path), CharTokenizer().vocab.size
     records: list[PromptRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_utf8(path)), start=1):
         if not line.strip():
             continue
         try:
@@ -420,7 +420,7 @@ def train_models(
     """
     tokenizer = CharTokenizer()
     seqs = []
-    for lineno, line in enumerate(_read_utf8(Path(corpus_path)).splitlines(), start=1):
+    for lineno, line in enumerate(_lines(_read_utf8(Path(corpus_path))), start=1):
         if line.strip():
             try:
                 seqs.append(tokenizer.encode(line) + [tokenizer.vocab.eos])

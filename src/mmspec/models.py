@@ -13,14 +13,13 @@ import functools
 import json
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from mmspec.core import (
-    REFILL,
     MultimodalPrompt,
     ProbDist,
     RngState,
@@ -449,40 +448,29 @@ class PromptConditionedLm:
     ) -> tuple[list[TokenId], list[ProbDist]]:
         """Continue ``generated`` by up to ``n`` tokens, stopping right after ``stop``: returns the tokens and
         each one's row.  A token is its row's argmax when ``rng`` is None; otherwise the walk bisects each row's
-        cdf with its own draw, as :func:`sample` does, takes at most :data:`~mmspec.core.REFILL` draws at a time,
-        so a run that stops early never holds ``n`` of them, and gives back the draws of the tokens a stop cut
-        off.  ``key``, if given, is ``generated``'s window code, which the caller carries; without it the first
-        row is :meth:`next_dist`'s, which perfbench patches, and its key is shifted from :meth:`start` again for
-        the rest.  Each later key is the last one shifted by the token just drawn, and ``generated`` is never
-        changed."""
+        cdf with its own draw, as :func:`sample` does, read from ``iter(rng)`` one token at a time, so a draw the
+        walk never reads stays the stream's next one.  ``key``, if given, is ``generated``'s window code, which
+        the caller carries; without it the first row is :meth:`next_dist`'s, which perfbench patches, and its key
+        is shifted from :meth:`start` again for the rest.  Each later key is the last one shifted by the token
+        just drawn, and ``generated`` is never changed."""
         if n < 1:
             return [], []
         row = self.next_dist(prompt, generated) if key is None else self._get(key, self._uniform)
-        draws = None if rng is None else rng.take(min(n, REFILL))
-        tok = row._top if draws is None else bisect_right(row.cdf, draws[0])
+        draws = None if rng is None else iter(rng)
+        tok = row._top if draws is None else bisect_right(row.cdf, next(draws))
         tokens, rows = [tok], [row]
         if n > 1 and tok != stop:
             if key is None:
                 key = self.shift(self.start(prompt), generated)
             base, mod, get, uniform = self._base, self._mod, self._get, self._uniform
-            i, end = 1, n if draws is None else len(draws)
-            while True:
-                for i in range(i, end):
-                    key = (key * base + tok + 1) % mod
-                    row = get(key, uniform)
-                    tok = row._top if draws is None else bisect_right(row.cdf, draws[i])
-                    tokens.append(tok)
-                    rows.append(row)
-                    if tok == stop:
-                        break
-                else:
-                    if end < n:  # the draws in hand ran out before a stop: take the next ones
-                        draws += rng.take(min(n - end, REFILL))
-                        i, end = end, len(draws)
-                        continue
-                break
-        if draws is not None and len(tokens) < len(draws):
-            rng.untake(draws[len(tokens) :])
+            for u in repeat(None, n - 1) if draws is None else islice(draws, n - 1):
+                key = (key * base + tok + 1) % mod
+                row = get(key, uniform)
+                tok = row._top if u is None else bisect_right(row.cdf, u)
+                tokens.append(tok)
+                rows.append(row)
+                if tok == stop:
+                    break
         return tokens, rows
 
     def score_block(

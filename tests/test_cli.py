@@ -206,7 +206,8 @@ class TestRun:
 class TestNotUtf8:
     """A byte that is not UTF-8 in any file the CLI reads is one error line
     naming the file and the byte's offset, and for the line-based dataset
-    and corpus the byte's line, before anything is written."""
+    and corpus the byte's line, which only a newline ends, before anything
+    is written."""
 
     @pytest.mark.parametrize("reader", ["dataset", "config", "corpus", "model"])
     def test_names_file_and_line(self, workspace, tmp_path, reader, capsys):
@@ -217,7 +218,7 @@ class TestNotUtf8:
             "dataset": str(demo_dataset_path()),
         }
         if reader == "corpus":
-            bad = b"a plain line\na caf\xff line\n"
+            bad = "a plain\x0cline\u2028\na caf".encode() + b"\xff line\n"  # only the newline ends a line
             path = tmp_path / "corpus.txt"
             argv = ["train", "--corpus", str(path), "--out", str(tmp_path / "out")]
         elif reader == "config":
@@ -231,7 +232,7 @@ class TestNotUtf8:
             (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
             argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         else:
-            bad = b'{"id": "a", "prompt_text": "x"}\n{"id": "b", "prompt_text": "caf\xff"}\n'
+            bad = b'{"id": "a", "prompt_text": "x"}\x0c\r\n{"id": "b", "prompt_text": "caf\xff"}\n'
             path = tmp_path / "dataset.jsonl"
             cfg["dataset"] = str(path)
             (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Tests for core value types and probability primitives."""
 
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ class TestValues:
             assert got == d.probs.tolist() and all(type(v) is float for v in got)
 
 
+class TestLines:
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("", []),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("\n\n", ["", ""]),
+            ("a\r\n\r\nb", ["a", "", "b"]),
+            ("a\rb\n", ["a\rb"]),
+            ("a\r\r\n", ["a\r"]),
+            ("a\r", ["a\r"]),
+            ("a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i\n", ["a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"]),
+        ],
+    )
+    def test_a_line_ends_only_at_a_newline(self, text, lines):
+        """A line ends at ``\\n``, and a ``\\r`` just before it is dropped;
+        a lone ``\\r`` and the other breaks of ``str.splitlines`` stay in
+        their line."""
+        assert core._lines(text) == lines
+
+
 class TestRngState:
     @pytest.mark.parametrize("seed, stream", [(0, ()), (11, (3,)), (2**64 - 1, (1, 0, 7))])
     def test_draws_equal_scalar_generator_draws(self, seed, stream):
@@ -314,12 +337,10 @@ class TestRngState:
         four-id streams, and ids of one, two and three words."""
         streams = [(), (0,), (1, 7, 19, 2), (2**32 - 1,), (2**32,), (5, 2**64 - 1, 0), (2**70 + 3, 1)]
         for stream in streams:
-            rng = RngState(seed, stream)
-            draws = rng.take(3)
             gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
-            assert draws == gen.random(3).tolist(), stream
+            assert list(islice(RngState(seed, stream), 3)) == gen.random(3).tolist(), stream
             fresh = np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)).state
-            assert rng._gen.bit_generator.state["state"]["key"].tolist() == fresh["state"]["key"].tolist()
+            assert core._philox(seed, stream).bit_generator.state["state"]["key"].tolist() == fresh["state"]["key"].tolist()
 
     @pytest.mark.parametrize("stream", [-1, (1, -2), (0, 3, -(2**70))])
     def test_negative_stream_id_rejected(self, stream):
@@ -336,25 +357,29 @@ class TestRngState:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200, REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
     @pytest.mark.parametrize("before", [0, 37])
     def test_take_equals_scalar_draws(self, before, n):
-        """After ``before`` draws, ``take(n)`` and one more ``uniform()`` are
-        the next ``n + 1`` scalar Philox draws of the same address."""
+        """After ``before`` draws, taking ``n`` with ``islice(iter(rng), n)``
+        and one more ``uniform()`` give the next ``n + 1`` scalar Philox draws
+        of the same address."""
         rng = RngState(7, (2,))
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(7, spawn_key=(2,))))
         got = [rng.uniform() for _ in range(before)]
-        taken = rng.take(n)
-        assert type(taken) is list and len(taken) == n
+        taken = list(islice(iter(rng), n))
+        assert len(taken) == n
         assert got + taken + [rng.uniform()] == [gen.random() for _ in range(before + n + 1)]
 
     @pytest.mark.parametrize("kept", [0, 1, 30, 64, 100, REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
     def test_untake_gives_back_the_tail(self, kept):
-        """Draws given back by ``untake`` are the next ones again, in order,
-        so the stream goes on as if only ``kept`` of them had been taken."""
+        """``uniform()`` and ``iter(rng)`` read one cursor: whatever an
+        ``islice`` of ``kept`` draws leaves unread is the next ``uniform()``,
+        and any interleaving of the two, across refill boundaries, reads the
+        stream's draws in order, each once."""
         rng, fresh = RngState(3), RngState(3)
-        rng.uniform()
-        draws = rng.take(2 * REFILL + 1)
-        rng.untake(draws[kept:])
-        assert rng.take(150) == [fresh.uniform() for _ in range(151 + kept)][1 + kept :]
-        assert_drawn(rng, 151 + kept)
+        assert iter(rng) is iter(rng)
+        got = [rng.uniform(), *islice(rng, kept), rng.uniform()]
+        for i, k in enumerate(np.random.default_rng(kept).integers(0, REFILL + 2, 12).tolist()):
+            got += islice(iter(rng), k) if i % 2 else [rng.uniform() for _ in range(k)]
+        assert got == [fresh.uniform() for _ in range(len(got))]
+        assert_drawn(rng, len(got))
 
     def test_greedy_generation_draws_nothing(self, monkeypatch):
         """Greedy SPD runs derive no substream of the state they are given,

@@ -251,12 +251,29 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_not_utf8_names_the_line_the_reader_counts(self, tmp_path):
-        """The line of a bad byte is counted as the records are, so a bare
-        carriage return ends a line too."""
+        """The line of a bad byte is counted as the records are: a CRLF ends
+        a line, and a bare carriage return stays in its line."""
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"id": "a", "prompt_text": "x"}\r\n\r{"id": "b", "prompt_text": "caf\xe9"}\n')
-        with pytest.raises(ValueError, match=rf"latin1\.jsonl:3: not UTF-8 \(invalid continuation byte at byte 65\)"):
+        with pytest.raises(ValueError, match=rf"latin1\.jsonl:2: not UTF-8 \(invalid continuation byte at byte 65\)"):
             load_dataset(path)
+
+    def test_line_breaks_other_than_newline_stay_in_their_line(self, tmp_path):
+        """Only a newline ends a record: a raw U+2028 in an id and a raw
+        U+0085 in an unused context field are characters of valid JSON
+        strings, and load as written."""
+        path = tmp_path / "seps.jsonl"
+        recs = [{"id": "q\u2028x", "prompt_text": "the cat"}, {"id": "r", "prompt_text": "a", "context": "c\x85d"}]
+        path.write_text("".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in recs), encoding="utf-8")
+        records = load_dataset(path)
+        assert [(r.prompt_id, r.context) for r in records] == [("q\u2028x", None), ("r", "c\x85d")]
+
+    def test_crlf_dataset_loads_as_lf(self, tmp_path):
+        """A dataset with CRLF line ends gives the records of its LF text."""
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(demo_dataset_path().read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in path.read_bytes()
+        assert load_dataset(path) == load_dataset(demo_dataset_path())
 
     def test_missing_id(self, tmp_path):
         path = tmp_path / "noid.jsonl"
@@ -637,6 +654,22 @@ class TestTrainModels:
         corpus.write_text("tea\n\ncafé\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(corpus))}:3: character 'é' is not in the alphabet$"):
             train_models(corpus, tmp_path)
+
+    def test_rejects_corpus_line_holding_a_form_feed(self, tmp_path):
+        """A form feed ends no line, so it reaches the tokenizer, which names
+        it, and the line is not trained as two sequences."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat\x0con the mat\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(corpus))}:1: character '\\\\x0c' is not in the alphabet$"):
+            train_models(corpus, tmp_path)
+
+    def test_crlf_corpus_trains_the_same_models(self, model_dir, tmp_path):
+        """A corpus with CRLF line ends trains the bytes of its LF text."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(demo_corpus_path().read_bytes().replace(b"\n", b"\r\n"))
+        train_models(corpus, tmp_path / "crlf")
+        for name in ("target.json", "draft.json"):
+            assert (tmp_path / "crlf" / name).read_bytes() == (model_dir / name).read_bytes()
 
     def test_corpus_is_checked_and_converted_once(self, model_dir, tmp_path, monkeypatch):
         """Both models count one checked id array, and their files are the

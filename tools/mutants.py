@@ -57,8 +57,8 @@ H = "src/mmspec/harness.py"
 
 MUTANTS = [
     # Window codes, rows and the prompt tail.
-    Mutant(M, "for i in range(i, end):\n                    key = (key * base + tok + 1) % mod",
-           "for i in range(i, end):\n                    key = key * base + tok + 1",
+    Mutant(M, "islice(draws, n - 1):\n                key = (key * base + tok + 1) % mod",
+           "islice(draws, n - 1):\n                key = key * base + tok + 1",
            "a walk shifts its key without % mod"),
     Mutant(M, "for tok in block:\n            key = (key * base + tok + 1) % mod",
            "for tok in block:\n            key = key * base + tok + 1",
@@ -81,21 +81,29 @@ MUTANTS = [
     Mutant(E, "q.residuals.setdefault(p, row)", "q.residuals.setdefault(draft._uniform, row)",
            "every residual is stored under the uniform draft row"),
     # Random streams.
-    Mutant(C, 'self.seed.to_bytes(16, "little")', 'self.seed.to_bytes(8, "little")',
+    Mutant(C, 'seed.to_bytes(16, "little")', 'seed.to_bytes(8, "little")',
            "the seed is not padded to 4 words"),
     Mutant(C, '.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little")',
            '.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "big")',
            "stream ids are written big-endian"),
-    Mutant(C, 'self.seed.to_bytes(16, "little") + ids,', 'self.seed.to_bytes(16, "little"),',
+    Mutant(C, 'seed.to_bytes(16, "little") + ids,', 'seed.to_bytes(16, "little"),',
            "stream ids are lost from the key"),
     Mutant(C, '.to_bytes(4 * ((s.bit_length() + 31) // 32 or 1), "little")', '.to_bytes(4, "little")',
            "one word per stream id"),
-    Mutant(C, "self._batch = self._draw(REFILL)[::-1]", "self._batch = self._draw(REFILL)[:-1][::-1]",
+    Mutant(C, "yield random(REFILL).tolist()", "yield random(REFILL).tolist()[:-1]",
            "a refill drops its last draw"),
+    Mutant(C, "yield random(REFILL).tolist()", "yield random(REFILL).tolist()[1:]",
+           "a refill drops its first draw"),
+    Mutant(C, "return next(self._draws)", "return next(chain.from_iterable(_refills(self.seed, self.stream)))",
+           "uniform() reads a fresh cursor, not the stream's one"),
     Mutant(C, "_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)", "_ZERO_COUNTER = np.array([1, 0, 0, 0], dtype=np.uint64)",
            "Philox starts from a non-zero counter"),
-    Mutant(M, "if end < n:", "if False:",
+    Mutant(M, "islice(draws, n - 1)", "islice(draws, min(n, 256) - 1)",
            "a walk ends when its first refill's worth of draws runs out"),
+    Mutant(M, "islice(draws, n - 1)", "islice(draws, n)",
+           "a stochastic walk reads one draw too many"),
+    Mutant(M, "repeat(None, n - 1)", "repeat(None, n - 2)",
+           "a greedy walk stops one token short"),
     Mutant(C, "if not all(map(is_integer, ids)) or min(ids, default=0) < 0:", "if not all(map(is_integer, ids)):",
            "a negative stream id is accepted"),
     Mutant(C, "return isinstance(value, (int, np.integer)) and type(value) is not bool",
@@ -177,6 +185,11 @@ MUTANTS = [
            "ProbDist(probs) and ProbDist.table clamp only the last cdf entry"),
     Mutant(C, 'if name_line else ""', 'if False else ""',
            "the reader drops the line number"),
+    Mutant(C, 'lines = text.replace("\\r\\n", "\\n").split("\\n")', 'lines = text.split("\\n")',
+           "a line keeps the carriage return of its CRLF"),
+    Mutant(C, 'lines = text.replace("\\r\\n", "\\n").split("\\n")',
+           'lines = text.replace("\\r\\n", "\\n").replace("\\x0c", "\\n").split("\\n")',
+           "a form feed ends a line"),
     # Report rows, the sweep and its bookkeeping.
     Mutant(H, '"%.12g" if f.type == "float"', '"%.11g" if f.type == "float"',
            "report floats are written to 11 significant digits"),
