@@ -378,5 +378,7 @@ def autoregressive_generate(
         as_integer("max_new_tokens", max_new_tokens)
     if max_new_tokens < 1:
         raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+    if type(stop_on_eos) is not bool:  # "no" is truthy, and would run with the EOS stop
+        raise ValueError(f"stop_on_eos must be a bool, got {stop_on_eos!r}")
     stop = target.vocab.eos if stop_on_eos else None
     return target.walk(prompt, (), max_new_tokens, None if mode == "greedy" else rng, stop)[0]

@@ -150,7 +150,6 @@ class NgramLm:
         self.contexts = contexts
         self.counts = counts
         self._uniform = ProbDist(np.full(vocab.size, 1.0 / vocab.size))
-        self._rows: dict[int, ProbDist] | None = None
         self.code_mod = (vocab.size + 1) ** (order - 1)  # codes lie below it; a code modulo it drops the oldest id
         self.residual_draft: NgramLm | None = None
 
@@ -161,14 +160,13 @@ class NgramLm:
         probs /= (self.counts.sum(axis=1) + self.alpha * self.vocab.size)[:, None]
         return probs
 
-    @property
+    @functools.cached_property
     def rows(self) -> dict[int, ProbDist]:
-        """Row of every context seen in training, keyed by its window code; built on first use."""
-        if self._rows is None:
-            # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
-            codes = (_code(ctx, self.vocab.size + 1) for ctx in self.contexts)
-            self._rows = dict(zip(codes, type(self._uniform).table(self.probs)))
-        return self._rows
+        """Row of every context seen in training, keyed by its window code, in ``contexts`` order; built on first
+        use, as :attr:`probs` is."""
+        # The uniform row's type is the class even while a tracer has replaced the name ProbDist.
+        codes = (_code(ctx, self.vocab.size + 1) for ctx in self.contexts)
+        return dict(zip(codes, type(self._uniform).table(self.probs)))
 
 
 def _code(window: Sequence[TokenId], base: int) -> int:
@@ -189,8 +187,9 @@ def train_ngram(
 
     Each sequence is conceptually left-padded with :data:`BOS` so the
     position-0 prediction is defined.  Counting is array code: every
-    token's window is gathered from one padded array, one stable lexsort
-    groups equal windows, contexts are numbered in first-seen order, and
+    token's window is gathered from one padded array, one lexsort groups
+    equal windows, contexts are numbered in the order Python sorts their
+    tuples (BOS first), which is the order a model file holds them in, and
     one ``np.bincount`` fills the count matrix.
 
     Raises:
@@ -229,7 +228,8 @@ def _corpus_ids(corpus: Sequence[Sequence[TokenId]], vocab: Vocab, orders: tuple
 
 
 def _count_ngrams(tokens: np.ndarray, lengths: list[int], order: int, alpha: float, vocab: Vocab) -> NgramLm:
-    """:func:`train_ngram`'s model of the ids and lengths :func:`_corpus_ids` returns for ``order``."""
+    """:func:`train_ngram`'s model of the ids and lengths :func:`_corpus_ids` returns for ``order``: its contexts
+    sorted as tuples, each once, and row ``i`` of its counts those of ``contexts[i]``."""
     need, size, n = order - 1, vocab.size, len(tokens)
     if n * need > MAX_COUNT_CELLS:  # before the window matrix is allocated
         raise TrainingError(
@@ -241,20 +241,16 @@ def _count_ngrams(tokens: np.ndarray, lengths: list[int], order: int, alpha: flo
         at = np.arange(n) + np.repeat(np.arange(1, len(lengths) + 1) * need, lengths)
         padded = np.zeros(n + need * len(lengths), dtype=np.min_scalar_type(size))
         padded[at] = tokens + 1
-        columns = [padded[at - back] for back in range(need, 0, -1)]  # the window matrix, one column per position
-        ranked = np.lexsort(columns)  # stable: equal windows stay in corpus order
-        starts = np.zeros(n, dtype=bool)  # where each run of equal windows begins in sorted order
+        columns = [padded[at - back] for back in range(need, 0, -1)]  # the window matrix, oldest id first
+        ranked = np.lexsort(columns[::-1])  # the oldest id is the primary key: tuple order, BOS (0) first
+        runs = [column[ranked] for column in columns]  # the windows in sorted order
+        starts = np.zeros(n, dtype=bool)  # where each run of equal windows begins
         starts[0] = True
-        for column in columns:
-            run = column[ranked]
+        for run in runs:
             starts[1:] |= run[1:] != run[:-1]
-        firsts = ranked[starts]  # each distinct window's first position in the corpus
-        seen = np.argsort(firsts)  # the runs in first-seen order
-        number = np.empty(len(firsts), dtype=np.int64)  # each run's context index
-        number[seen] = np.arange(len(firsts))
         rows = np.empty(n, dtype=np.int64)
-        rows[ranked] = number[np.cumsum(starts) - 1]
-        contexts = tuple(zip(*((column[firsts[seen]].astype(np.int64) - 1).tolist() for column in columns)))
+        rows[ranked] = np.cumsum(starts) - 1  # each run's index is its context's
+        contexts = tuple(zip(*((run[starts].astype(np.int64) - 1).tolist() for run in runs)))
     else:  # order 1: the one empty context
         contexts, rows = ((),), np.zeros(n, dtype=np.int64)
     if len(contexts) * size > MAX_COUNT_CELLS:  # before the count matrix is allocated
@@ -278,20 +274,19 @@ def save_ngram(model: NgramLm, path: str | Path) -> None:
 
 
 def _ngram_text(model: NgramLm) -> str:
-    """A model as ``ngram-v2`` JSON: the header, the sorted contexts, and a
-    ``[context_index, token, count]`` triple for each nonzero count, in
-    sorted order, so a given model always produces identical bytes."""
-    order = sorted(range(len(model.contexts)), key=model.contexts.__getitem__)
-    counts = model.counts[order]
-    rows, tokens = np.nonzero(counts)  # row-major, so the triples come out sorted
+    """A model as ``ngram-v2`` JSON: the header, the contexts in the model's
+    own order, and a ``[context_index, token, count]`` triple for each nonzero
+    count, in sorted order, so a given model always produces identical bytes.
+    A trained model's contexts are sorted, so its file's are too."""
+    rows, tokens = np.nonzero(model.counts)  # row-major, so the triples come out sorted
     payload = {
         "format": NGRAM_FORMAT,
         "order": model.order,
         "alpha": model.alpha,
         "vocab_size": model.vocab.size,
         "eos": model.vocab.eos,
-        "contexts": [list(model.contexts[i]) for i in order],
-        "counts": np.stack([rows, tokens, counts[rows, tokens]], axis=1).tolist(),
+        "contexts": list(map(list, model.contexts)),
+        "counts": np.stack([rows, tokens, model.counts[rows, tokens]], axis=1).tolist(),
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 
@@ -50,16 +51,18 @@ def random_model(rng, vocab, order=None, alpha=None, **corpus_kw):
 
 def loop_train_ngram(corpus, order, alpha, vocab):
     """The counting reference ``train_ngram`` is checked against: one Python
-    step per token, contexts numbered as first seen."""
+    step per token into a ``Counter`` of ``(context, token)`` cells, and the
+    contexts numbered in the order Python sorts them."""
     seqs = [tuple(s) for s in corpus if len(s) > 0]
-    need, size = order - 1, vocab.size
-    rows = {}  # context -> its row, in first-seen order
-    cells = []  # row * size + token, once per occurrence
+    need = order - 1
+    cells = Counter()
     for seq in seqs:
         padded = (BOS,) * need + seq
-        for i, tok in enumerate(seq):
-            cells.append(rows.setdefault(padded[i : i + need], len(rows)) * size + tok)
-    counts = np.bincount(cells, minlength=len(rows) * size).reshape(len(rows), size)
+        cells.update((padded[i : i + need], tok) for i, tok in enumerate(seq))
+    rows = {ctx: i for i, ctx in enumerate(sorted({ctx for ctx, _ in cells}))}  # context -> its row
+    counts = np.zeros((len(rows), vocab.size), dtype=np.int64)
+    for (ctx, tok), k in cells.items():
+        counts[rows[ctx], tok] = k
     return NgramLm(vocab, order, alpha, tuple(rows), counts)
 
 

@@ -156,6 +156,16 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match="^max_new_tokens must be an integer"):
             autoregressive_generate(target, random_prompt(rng, vocab), max_new_tokens)
 
+    @pytest.mark.parametrize("stop_on_eos", ["no", None, 0, 1])
+    def test_autoregressive_rejects_non_bool_stop_on_eos(self, stop_on_eos):
+        """The flag is refused by name, as SpdConfig refuses it; unchecked,
+        ``'no'`` ran with the EOS stop and ``None`` or ``0`` without one."""
+        rng = np.random.default_rng(71)
+        vocab = random_vocab(rng)
+        target, _ = make_pair(rng, vocab)
+        with pytest.raises(ValueError, match=f"^stop_on_eos must be a bool, got {stop_on_eos!r}$"):
+            autoregressive_generate(target, random_prompt(rng, vocab), 4, stop_on_eos=stop_on_eos)
+
     def test_records_reject_attribute_assignment(self):
         record = BlockRecord((1,), 1, (1, 0), "bonus")
         for name in ("draft_tokens", "accepted", "emitted", "correction_kind", "other"):
@@ -246,7 +256,7 @@ class TestDraftBlock:
         rng = np.random.default_rng(63)
         vocab = random_vocab(rng, min_size=4)
         base = random_model(rng, vocab, order=3)
-        rows = base._rows = FailingRows(base.rows)
+        rows = base.rows = FailingRows(base.rows)
         draft = TextOnlyDraftLm(base)
         prompt = random_prompt(rng, vocab)
         generated = [1, 3, 2]
@@ -693,7 +703,7 @@ class TestWindowSizedQueries:
         target_base = random_model(rng, vocab, order=target_order)
         draft_base = random_model(rng, vocab, order=draft_order)
         for base in (target_base, draft_base):
-            base._rows = KeyRecorder(base.rows)
+            base.rows = KeyRecorder(base.rows)
         target, draft = MultimodalTargetLm(target_base), TextOnlyDraftLm(draft_base)
         prompt = MultimodalPrompt(
             image_ctx=rng.integers(0, vocab.size, 64).tolist(), text=rng.integers(0, vocab.size, 256).tolist()
@@ -706,8 +716,8 @@ class TestWindowSizedQueries:
             assert len(ar) == 128
         for base in (target_base, draft_base):
             mod = (vocab.size + 1) ** (base.order - 1)
-            assert base._rows.asked and all(0 <= key < mod for key in base._rows.asked)
-            assert any(key >= mod // (vocab.size + 1) for key in base._rows.asked)
+            assert base.rows.asked and all(0 <= key < mod for key in base.rows.asked)
+            assert any(key >= mod // (vocab.size + 1) for key in base.rows.asked)
 
 
 class TestResidualReuse:

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: tokenizer, templates, datasets, runs."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -648,6 +649,24 @@ class TestTrainModels:
     def test_training_is_deterministic(self, model_dir, tmp_path):
         train_models(demo_corpus_path(), tmp_path)
         assert (tmp_path / "target.json").read_bytes() == (model_dir / "target.json").read_bytes()
+
+    # sha256 of the bundled corpus's model file at each order, at alpha 0.1
+    FILE_SHA256 = {
+        1: "fb25e8c013767460e4a75db1605771b108ee3d20387fbda5d0a3b027b80eb254",
+        2: "ce4de672992818114cc67d7951de2704c6f7c1aedfd498f2c37f270b2f827bc6",
+        3: "4cec9495a76a4f2a6a4364da8132577eb737f703c04d04be98053ceb53d8c39e",
+        4: "90648dd2d4bfdfc8e9203e9152f683d11b58004170cdb9999cd16c446d1ae3c7",
+        5: "de7f44c65054ed24946afec7f0797624cf384ab6c79fc9c2a5b620b443fd2fc3",
+    }
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (3, 2), (4, 2), (4, 4), (5, 3)], ids=str)
+    def test_model_files_keep_their_bytes(self, tmp_path, orders):
+        """The files ``train_models`` writes from the bundled corpus hold these
+        exact bytes, so a change to how contexts are counted, numbered or
+        written cannot move them unnoticed."""
+        paths = train_models(demo_corpus_path(), tmp_path, target_order=orders[0], draft_order=orders[1])
+        for path, order in zip(paths, orders):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FILE_SHA256[order], path.name
 
     def test_rejects_corpus_with_foreign_characters(self, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -182,7 +182,7 @@ class TestTrainNgram:
 
 class TestTrainNgramMatchesLoop:
     """The array counting equals the loop in ``helpers.loop_train_ngram``:
-    the same contexts in the same first-seen order, and the same counts."""
+    the same contexts in the same sorted order, and the same counts."""
 
     def test_random_corpora(self):
         rng = np.random.default_rng(56)
@@ -284,9 +284,9 @@ class TestRowMemo:
         """For a bundled-corpus model and random models, the table holds
         exactly the trained contexts, is built on first use, and each row is
         bit-equal to ``(counts + alpha) / (total + alpha * V)`` computed for
-        that row alone.  The bundled-corpus count matrix holds, in
-        first-seen order of contexts, what a ``Counter`` of
-        ``(context, token)`` pairs counts."""
+        that row alone.  The bundled-corpus count matrix holds, in sorted
+        order of contexts, what a ``Counter`` of ``(context, token)`` pairs
+        counts."""
         tok = CharTokenizer()
         lines = demo_corpus_path().read_text(encoding="utf-8").splitlines()
         seqs = [tok.encode(line) + [tok.vocab.eos] for line in lines if line.strip()]
@@ -296,12 +296,12 @@ class TestRowMemo:
         for seq in seqs:
             padded = (BOS,) * (order - 1) + tuple(seq)
             pairs.update((padded[i : i + order - 1], t) for i, t in enumerate(seq))
-        contexts = tuple(dict.fromkeys(ctx for ctx, _ in pairs))
+        contexts = tuple(sorted({ctx for ctx, _ in pairs}))
         assert models[0].contexts == contexts
         assert models[0].counts.tolist() == [[pairs[ctx, t] for t in range(tok.vocab.size)] for ctx in contexts]
         models += [random_model(rng, random_vocab(rng), order=order) for _ in range(10)]
         for m in models:
-            assert m._rows is None
+            assert "rows" not in vars(m)
             rows = m.rows
             assert list(rows) == [code(ctx, m.vocab.size) for ctx in m.contexts]
             for ctx, counts in zip(m.contexts, m.counts):
@@ -417,7 +417,7 @@ class TestSerialization:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_resave_is_byte_identical(self, tmp_path, order):
         """save(load(p)) writes p's bytes again, and the loaded model holds the
-        trained contexts, sorted, with their count rows."""
+        trained contexts, in the trained order, with their count rows."""
         tok = CharTokenizer()
         corpus = [tok.encode(line) + [tok.vocab.eos] for line in demo_corpus_path().read_text().splitlines() if line]
         m = train_ngram(corpus, order=order, alpha=0.1, vocab=tok.vocab)
@@ -426,10 +426,51 @@ class TestSerialization:
         loaded = load_ngram(p)
         save_ngram(loaded, again)
         assert again.read_bytes() == p.read_bytes()
-        ranked = sorted(range(len(m.contexts)), key=m.contexts.__getitem__)
-        assert loaded.contexts == tuple(m.contexts[i] for i in ranked)
-        np.testing.assert_array_equal(loaded.counts, m.counts[ranked])
+        assert loaded.contexts == m.contexts
+        np.testing.assert_array_equal(loaded.counts, m.counts)
         assert loaded.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_trained_model_reloads_as_itself(self, tmp_path, order):
+        """load(save(m)) is the trained model: the same contexts in the same
+        order, the same counts, order, alpha and vocab, and the same row codes
+        in the same order; for the bundled corpus and random corpora, one of
+        them over a vocabulary of 70,000."""
+        rng = np.random.default_rng(170 + order)
+        tok = CharTokenizer()
+        corpus = [tok.encode(line) + [tok.vocab.eos] for line in demo_corpus_path().read_text().splitlines() if line]
+        trained = [train_ngram(corpus, order, 0.1, tok.vocab)]
+        trained += [random_model(rng, random_vocab(rng), order=order) for _ in range(5)]
+        wide = Vocab(70_000, 0)
+        trained.append(random_model(rng, wide, order=order, alpha=0.5, n_seqs=4, max_len=6))
+        for i, m in enumerate(trained):
+            save_ngram(m, tmp_path / f"m{i}.json")
+            loaded = load_ngram(tmp_path / f"m{i}.json")
+            assert (loaded.contexts, loaded.order, loaded.alpha, loaded.vocab) == (m.contexts, m.order, m.alpha, m.vocab)
+            np.testing.assert_array_equal(loaded.counts, m.counts)
+            assert list(loaded.rows) == list(m.rows)
+
+    def test_unsorted_file_is_rewritten_exactly(self, tmp_path):
+        """save(load(p)) writes the bytes of a file whose contexts are not in
+        sorted order, hand-written and a bundled-corpus model's shuffled,
+        and keeps its contexts in the file's order."""
+        payload = {"format": "ngram-v2", "order": 3, "alpha": 1.0, "vocab_size": 4, "eos": 0,
+                   "contexts": [[0, 1], [BOS, 2]], "counts": [[0, 0, 2], [0, 2, 1], [1, 1, 3]]}
+        tok = CharTokenizer()
+        corpus = [tok.encode(line) + [tok.vocab.eos] for line in demo_corpus_path().read_text().splitlines() if line]
+        m = train_ngram(corpus, 3, 0.1, tok.vocab)
+        perm = np.random.default_rng(175).permutation(len(m.contexts))
+        shuffled = NgramLm(m.vocab, 3, 0.1, tuple(m.contexts[i] for i in perm), m.counts[perm])
+        save_ngram(shuffled, tmp_path / "shuffled.json")
+        (tmp_path / "hand.json").write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+        for name in ("hand.json", "shuffled.json"):
+            p = tmp_path / name
+            before = p.read_bytes()
+            loaded = load_ngram(p)
+            assert list(map(list, loaded.contexts)) == json.loads(before)["contexts"]
+            save_ngram(loaded, p)
+            assert p.read_bytes() == before
+        assert loaded.contexts == shuffled.contexts and loaded.contexts != m.contexts
 
     def test_file_holds_only_nonzero_counts(self, tmp_path):
         m = train_ngram([[0, 1, 0, 2]], order=2, alpha=0.5, vocab=Vocab(size=3, eos=2))
@@ -624,7 +665,7 @@ class TestSerialization:
         np.testing.assert_allclose(flat_next_dist(m, [2]).probs, [1 / 7, 4 / 7, 1 / 7, 1 / 7])
 
     def test_unsorted_file_loads_the_same_model(self, tmp_path):
-        """Sorting is how save_ngram writes, not a rule the loader holds files to."""
+        """Sorted contexts are how trained files come, not a rule the loader holds files to."""
         p = self.write_order3(tmp_path / "model.json", [[0, 1], [BOS, 2]], [[1, 1, 3], [0, 2, 1], [0, 0, 2]])
         m = load_ngram(p)
         assert m.contexts == ((0, 1), (BOS, 2))
@@ -843,10 +884,10 @@ class TestPromptViews:
         """A view's ``next_dist`` and each ``score_block`` entry are the very row
         objects the flat-prefix reference reads for the whole flat prefix,
         also for outputs shorter than the window and for order 1 (code 0); a
-        repeated query does not touch the table's builder."""
+        repeated query does not read the model's ``rows``."""
         calls = Counter()
-        build = NgramLm.rows.fget
-        monkeypatch.setattr(NgramLm, "rows", property(lambda self: calls.update(["rows"]) or build(self)))
+        build = NgramLm.rows  # the cached property, which keeps the table in the instance's ``rows`` entry
+        monkeypatch.setattr(NgramLm, "rows", property(lambda self: calls.update(["rows"]) or build.__get__(self)))
         rng = np.random.default_rng(400 + order)
         vocab = Vocab(size=3, eos=0)
         base = random_model(rng, vocab, order=order, n_seqs=60)

@@ -128,6 +128,8 @@ MUTANTS = [
            "SpdConfig takes a non-bool stop_on_eos"),
     Mutant(E, '        as_integer("max_new_tokens", max_new_tokens)\n', "        pass\n",
            "autoregressive_generate takes a float max_new_tokens"),
+    Mutant(E, "if type(stop_on_eos) is not bool:", "if False:",
+           "autoregressive_generate takes a non-bool stop_on_eos"),
     # Codes carried through a speculative run.
     Mutant(E, "_shift_pair(draft, target, draft_key, target_key, emitted)",
            "_shift_pair(draft, target, draft_key, target_key, emitted[:-1])",
@@ -172,6 +174,12 @@ MUTANTS = [
            "NgramLm skips the width check"),
     Mutant(M, "if not set(map(type, chain.from_iterable(contexts))) <= {int}:", "if False:",
            "NgramLm takes a float, bool or numpy context id"),
+    Mutant(M, "ranked = np.lexsort(columns[::-1])", "ranked = np.lexsort(columns)",
+           "training numbers the contexts sorted newest id first"),
+    Mutant(M, '"contexts": list(map(list, model.contexts)),', '"contexts": sorted(map(list, model.contexts)),',
+           "a save sorts the contexts but not their counts"),
+    Mutant(M, "    @functools.cached_property\n    def rows(", "    @property\n    def rows(",
+           "NgramLm.rows builds a new table on every read"),
     Mutant(H, "_write_atomic({target_path: _ngram_text(target), draft_path: _ngram_text(draft)})",
            "_write_atomic({target_path: _ngram_text(target)})\n    _write_atomic({draft_path: _ngram_text(draft)})",
            "train_models writes the target and the draft in two writes"),
