@@ -55,6 +55,9 @@ class Vocab:
     eos: TokenId
 
     def __post_init__(self) -> None:
+        # stored as Python ints: a numpy size would fold a model's window codes in int64, which wraps
+        object.__setattr__(self, "size", as_integer("vocab size", self.size))
+        object.__setattr__(self, "eos", as_integer("eos id", self.eos))
         if self.size < 2:
             raise ValueError(f"vocab size must be >= 2, got {self.size}")
         if not 0 <= self.eos < self.size:

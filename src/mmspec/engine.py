@@ -193,7 +193,6 @@ def draft_block(
     generated: Sequence[TokenId],
     gamma: int,
     rng: RngState | None,
-    mode: str = "stochastic",
     key: int | None = None,
 ) -> tuple[tuple[TokenId, ...], list[ProbDist]]:
     """Draft ``gamma`` tokens autoregressively: returns ``(tokens, dists)``, each token's draft row.
@@ -201,18 +200,12 @@ def draft_block(
     Drafting never stops early — a draft-predicted EOS is proposed and
     verified like any other token.  The block is one :meth:`walk
     <mmspec.models.PromptConditionedLm.walk>` of the draft view, which never
-    changes ``generated``; ``key``, if given, is ``generated``'s window code
-    in the draft view, which :func:`spd_generate` carries from block to
-    block.  In greedy mode ``rng`` is unused.
-
-    Raises:
-        ValueError: for an unknown ``mode``, or stochastic mode without an ``rng``.
+    changes ``generated``: each token is a draw from ``rng``, or its row's
+    argmax when ``rng`` is None.  ``key``, if given, is ``generated``'s window
+    code in the draft view, which :func:`spd_generate` carries from block to
+    block.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic mode needs an rng")
-    tokens, dists = draft.walk(prompt, generated, gamma, None if mode == "greedy" else rng, None, key)
+    tokens, dists = draft.walk(prompt, generated, gamma, rng, None, key)
     return tuple(tokens), dists
 
 
@@ -308,7 +301,8 @@ def spd_generate(
     Stochastic draft, accept/reject, and resample draws come from three
     substreams of ``rng``, so draft proposals depend only on the seed and
     the text-side prefix — never on image context or verification outcomes
-    inside a block.  Greedy mode never reads ``rng``; it may be ``None``.
+    inside a block.  Greedy mode never reads ``rng``; it may be ``None``,
+    and the draft walk gets no stream, so it takes each row's argmax.
     Verification gets the models until their :func:`residual_table` is built.
 
     The loop starts each view's window code from the prompt's
@@ -318,8 +312,8 @@ def spd_generate(
     block's draft walk keys itself, which takes its first row from
     ``next_dist``.
     """
-    gamma, mode, limit, stop_on_eos = cfg.gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos
-    greedy, base = mode == "greedy", (target.base, draft.base)
+    gamma, limit, stop_on_eos = cfg.gamma, cfg.max_new_tokens, cfg.stop_on_eos
+    greedy, base = cfg.mode == "greedy", (target.base, draft.base)
     models = None if greedy or base[0].residual_draft is base[1] or base[1].order > base[0].order else base
     if greedy:
         draft_rng = verify_rng = resample_rng = None
@@ -336,7 +330,7 @@ def spd_generate(
     draft_key, target_key = draft.start(prompt), target.start(prompt)  # the codes of empty ``out``'s windows
     while True:
         # the first block's walk keys itself, so next_dist, which perfbench patches, still runs once per run
-        tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, mode, draft_key if blocks else None)
+        tokens, dists = draft_block(draft, prompt, out, gamma, draft_rng, draft_key if blocks else None)
         target_dists = target.score_block(prompt, out, tokens, target_key)
         if greedy:
             record = verify_greedy(target_dists, tokens)
@@ -364,16 +358,12 @@ def autoregressive_generate(
     target: PromptConditionedLm,
     prompt: MultimodalPrompt,
     max_new_tokens: int,
-    mode: str = "greedy",
     rng: RngState | None = None,
     *,
     stop_on_eos: bool = True,
 ) -> list[TokenId]:
-    """Plain one-token-per-call decoding from the target, as one walk of its view; the baseline."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic mode needs an rng")
+    """Plain one-token-per-call decoding from the target, as one walk of its view; the baseline.  Each token is
+    a draw from ``rng``, or its row's argmax when ``rng`` is None, as in greedy mode."""
     if type(max_new_tokens) is not int:  # an int skips the call, which costs ~5% of a 16-token greedy baseline run
         as_integer("max_new_tokens", max_new_tokens)
     if max_new_tokens < 1:
@@ -381,4 +371,4 @@ def autoregressive_generate(
     if type(stop_on_eos) is not bool:  # "no" is truthy, and would run with the EOS stop
         raise ValueError(f"stop_on_eos must be a bool, got {stop_on_eos!r}")
     stop = target.vocab.eos if stop_on_eos else None
-    return target.walk(prompt, (), max_new_tokens, None if mode == "greedy" else rng, stop)[0]
+    return target.walk(prompt, (), max_new_tokens, rng, stop)[0]

@@ -515,9 +515,7 @@ def generate_for_prompt(
     greedy = cfg.mode == "greedy"  # greedy decoding draws nothing, so it gets no stream
     baseline_rng = None if greedy else RngState(cfg.seed, (_STREAM_BASELINE, prompt_index))
     spd_rng = None if greedy else RngState(cfg.seed, (_STREAM_SPD, gamma, prompt_index))
-    baseline = autoregressive_generate(
-        target, prompt, cfg.max_new_tokens, cfg.mode, baseline_rng, stop_on_eos=cfg.stop_on_eos
-    )
+    baseline = autoregressive_generate(target, prompt, cfg.max_new_tokens, baseline_rng, stop_on_eos=cfg.stop_on_eos)
     spd_cfg = _spd_config(gamma, cfg.mode, cfg.max_new_tokens, cfg.stop_on_eos)
     spd, trace = spd_generate(target, draft, prompt, spd_cfg, spd_rng)
     return baseline, spd, trace

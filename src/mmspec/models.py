@@ -27,6 +27,8 @@ from mmspec.core import (
     Vocab,
     _read_utf8,
     _write_atomic,
+    as_integer,
+    is_integer,
 )
 
 __all__ = [
@@ -82,7 +84,8 @@ class NgramLm:
     The context window is the last ``order - 1`` prefix tokens, left-padded
     with :data:`BOS` when the prefix is shorter.  A context never seen in
     training yields the uniform distribution; otherwise
-    ``(count + alpha) / (total + alpha * V)``.
+    ``(count + alpha) / (total + alpha * V)``.  ``order`` must be an integer
+    and ``alpha`` an int or float, not a bool: checked here, for the loader too.
 
     ``contexts`` are ``order - 1`` integer ids each, each BOS or in ``[0, V)``, none twice, and
     ``counts`` is one integer matrix whose row ``i`` counts the tokens that followed
@@ -108,8 +111,11 @@ class NgramLm:
         contexts: tuple[tuple[TokenId, ...], ...],
         counts: np.ndarray,
     ) -> None:
+        order = as_integer("order", order)  # a numpy order would fold code_mod in int64, which wraps
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
+        if type(alpha) is bool or not isinstance(alpha, (int, float)):  # float() would take "0.1" and True
+            raise ValueError(f"alpha must be a number, got {alpha!r}")
         alpha = float(alpha)
         if not (alpha > 0 and np.isfinite(alpha * vocab.size)):
             raise ValueError(f"smoothing alpha must be > 0 and alpha * vocab size finite, got {alpha}")
@@ -193,8 +199,9 @@ def train_ngram(
     one ``np.bincount`` fills the count matrix.
 
     Raises:
-        TrainingError: if ``order`` is below 1; a token id is not an
-            integer (a float or a boolean) or falls outside the vocabulary;
+        TrainingError: if ``order`` or a token id is not an integer (a
+            float or a boolean); ``order`` is below 1; a token id falls
+            outside the vocabulary;
             or the window matrix (tokens x ``order - 1``) or the count
             matrix (contexts x vocab size) would have more than
             :data:`MAX_COUNT_CELLS` cells.
@@ -206,6 +213,8 @@ def train_ngram(
 def _corpus_ids(corpus: Sequence[Sequence[TokenId]], vocab: Vocab, orders: tuple[int, ...]) -> tuple[np.ndarray, list]:
     """The ids of ``corpus``'s non-empty sequences as one int64 array, and their lengths, once ``orders`` and every
     id pass :func:`train_ngram`'s checks but its matrix bounds."""
+    if bad := [order for order in orders if not is_integer(order)]:
+        raise TrainingError(f"order must be an integer, got {bad[0]!r}")
     if min(orders) < 1:
         raise TrainingError(f"order must be >= 1, got {min(orders)}")
     seqs = [seq for seq in corpus if len(seq) > 0]
@@ -340,9 +349,7 @@ def _model_from_payload(payload: dict) -> NgramLm:
     if any(type(value) is not int for value in header):
         raise TypeError(f"vocab_size, eos and order must be integers, got {header}")
     vocab = Vocab(size=size, eos=eos)
-    alpha = payload["alpha"]
-    if type(alpha) not in (int, float):
-        raise TypeError(f"alpha must be a number, got {alpha!r}")
+    alpha = payload["alpha"]  # NgramLm checks it
     contexts = tuple(map(tuple, _lists(payload, "contexts")))  # NgramLm checks their ids, the ids' types among them
     triples = _lists(payload, "counts")
     # as int64, numpy would read a JSON true/false as 1/0 and truncate a float, so the values' types are checked first

@@ -129,7 +129,7 @@ def keyless_spd_generate(target, draft, prompt, cfg, rng):
     streams = [None] * 3 if greedy else [rng.substream(s) for s in (STREAM_DRAFT, STREAM_VERIFY, STREAM_RESAMPLE)]
     eos, out, blocks = target.vocab.eos, [], []
     while True:
-        tokens, dists = draft_block(draft, prompt, out, cfg.gamma, streams[0], cfg.mode)
+        tokens, dists = draft_block(draft, prompt, out, cfg.gamma, streams[0])
         target_dists = target.score_block(prompt, out, tokens)
         if greedy:
             record = verify_greedy(target_dists, tokens)

@@ -65,7 +65,7 @@ def test_criterion_1_greedy_losslessness(capsys):
             draft = TextOnlyDraftLm(random_model(rng, vocab))
             prompt = random_prompt(rng, vocab)
             gamma = gammas[i % len(gammas)]
-            baseline = autoregressive_generate(target, prompt, 128, "greedy")
+            baseline = autoregressive_generate(target, prompt, 128)
             cfg = SpdConfig(gamma=gamma, mode="greedy", max_new_tokens=128)
             spd, _ = spd_generate(target, draft, prompt, cfg, RngState(9000 + i))
             matches += spd == baseline
@@ -184,7 +184,7 @@ def test_criterion_7_draft_image_invariance(capsys):
             )
             gamma = int(rng.integers(1, 5))
             ref_tokens, ref_dists = draft_block(
-                draft, base, generated, gamma, RngState(8000 + outer), "stochastic"
+                draft, base, generated, gamma, RngState(8000 + outer)
             )
             for _ in range(10):
                 image = tuple(
@@ -192,7 +192,7 @@ def test_criterion_7_draft_image_invariance(capsys):
                 )
                 perturbed = MultimodalPrompt(image_ctx=image, text=base.text)
                 tokens, dists = draft_block(
-                    draft, perturbed, generated, gamma, RngState(8000 + outer), "stochastic"
+                    draft, perturbed, generated, gamma, RngState(8000 + outer)
                 )
                 assert tokens == ref_tokens
                 for d_ref, d_new in zip(ref_dists, dists):

@@ -41,6 +41,27 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(size=4, eos=-1)
 
+    @pytest.mark.parametrize(
+        "size, eos, reason",
+        [
+            pytest.param(3.0, 0, "vocab size must be an integer, got 3.0", id="float"),
+            pytest.param(5, True, "eos id must be an integer, got True", id="boolean"),
+        ],
+    )
+    def test_rejects_non_integer_size_or_eos(self, size, eos, reason):
+        """Refused by name; unchecked, 3.0 failed inside numpy as a bare
+        TypeError and True made EOS id 1."""
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            Vocab(size, eos)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integers_are_stored_as_ints(self, integer):
+        """So an order-5 model over 70,000 tokens has the true ``code_mod``,
+        70,001**4, which int64 arithmetic wraps."""
+        vocab = Vocab(integer(70000), integer(0))
+        assert (type(vocab.size), type(vocab.eos)) == (int, int) and vocab == Vocab(70000, 0)
+        assert train_ngram([[1, 2, 3, 4, 5]], 5, 0.1, vocab).code_mod == 70001**4
+
 
 class TestProbDist:
     def test_accepts_valid_vector(self):
@@ -403,8 +424,7 @@ class TestRngState:
         cfg = SpdConfig(gamma=3, mode="greedy", max_new_tokens=32)
         prompt = MultimodalPrompt((1,), (2, 3))
         spd_generate(target, draft, prompt, cfg, RecordingRng(5))
-        baseline_rng = RngState(5, (0,))
-        autoregressive_generate(target, prompt, 32, "greedy", baseline_rng)
+        autoregressive_generate(target, prompt, 32)
         assert derived == []
         assert built == []
         RngState(5).uniform()

@@ -13,6 +13,7 @@ from helpers import (
     code,
     flat_code,
     keyless_spd_generate,
+    loop_walk,
     random_dist,
     random_model,
     random_prompt,
@@ -223,7 +224,7 @@ class TestDraftBlock:
         vocab = random_vocab(rng)
         _, draft = make_pair(rng, vocab)
         prompt = random_prompt(rng, vocab)
-        tokens, dists = draft_block(draft, prompt, (), 3, None, mode="greedy")
+        tokens, dists = draft_block(draft, prompt, (), 3, None)
         for j in range(3):
             assert tokens[j] == argmax(dists[j])
 
@@ -260,22 +261,39 @@ class TestDraftBlock:
         draft = TextOnlyDraftLm(base)
         prompt = random_prompt(rng, vocab)
         generated = [1, 3, 2]
-        for mode in ("stochastic", "greedy"):
+        for new_stream in (lambda: RngState(3, (0,)), lambda: None):  # a sampled block, then a greedy one
             rows.fail_at, rows.calls = 0, 0
-            tokens, _ = draft_block(draft, prompt, generated, 5, RngState(3, (0,)), mode)
+            tokens, _ = draft_block(draft, prompt, generated, 5, new_stream())
             assert generated == [1, 3, 2] and len(tokens) == 5 and rows.calls == 5
             rows.fail_at, rows.calls = 3, 0  # the first row is next_dist's, the third is the walk's second
             with pytest.raises(RuntimeError, match="draft failed"):
-                draft_block(draft, prompt, generated, 5, RngState(3, (0,)), mode)
+                draft_block(draft, prompt, generated, 5, new_stream())
             assert generated == [1, 3, 2] and rows.calls == 3
 
-    def test_stochastic_mode_needs_rng(self):
-        """Stochastic drafting without a stream is an error, not a greedy block."""
+    def test_no_stream_is_the_greedy_block(self):
+        """A block drafted with no stream is the draft's argmax walk, and one
+        drafted with a stream is its sampled walk, reading exactly ``gamma``
+        of the stream's draws; the two differ on some instances."""
         rng = np.random.default_rng(64)
-        vocab = random_vocab(rng)
-        _, draft = make_pair(rng, vocab)
-        with pytest.raises(ValueError, match="stochastic mode needs an rng"):
-            draft_block(draft, random_prompt(rng, vocab), [], 3, None)
+        differs = 0
+        for trial in range(20):
+            vocab = random_vocab(rng)
+            _, draft = make_pair(rng, vocab)
+            prompt = random_prompt(rng, vocab)
+            gen = rng.integers(0, vocab.size, int(rng.integers(0, 4))).tolist()
+            gamma = int(rng.integers(1, 6))
+            tokens, dists = draft_block(draft, prompt, gen, gamma, None)
+            want_tokens, want_rows = loop_walk(draft, prompt, gen, gamma)
+            assert tokens == tuple(want_tokens)
+            assert all(a is b for a, b in zip(dists, want_rows, strict=True))
+            stream = RngState(trial, (0,))
+            sampled, dists = draft_block(draft, prompt, gen, gamma, stream)
+            want_tokens, want_rows = loop_walk(draft, prompt, gen, gamma, RngState(trial, (0,)))
+            assert sampled == tuple(want_tokens)
+            assert all(a is b for a, b in zip(dists, want_rows, strict=True))
+            assert_drawn(stream, gamma)
+            differs += sampled != tokens
+        assert differs
 
     def test_draft_eos_does_not_stop_drafting(self):
         """A draft that loves EOS still proposes a full block."""
@@ -283,7 +301,7 @@ class TestDraftBlock:
         m = train_ngram([[1, 1, 1, 1]], order=1, alpha=0.01, vocab=vocab)
         draft = TextOnlyDraftLm(m)
         prompt = MultimodalPrompt((), (0,))
-        tokens, _ = draft_block(draft, prompt, (), 3, None, mode="greedy")
+        tokens, _ = draft_block(draft, prompt, (), 3, None)
         assert tokens == (1, 1, 1)
 
 
@@ -457,7 +475,7 @@ class TestSpdGenerate:
             prompt = random_prompt(rng, vocab)
             cfg = SpdConfig(gamma=gammas[trial % 4], mode="greedy", max_new_tokens=48)
             spd, _ = spd_generate(target, draft, prompt, cfg, RngState(trial))
-            ar = autoregressive_generate(target, prompt, 48, "greedy")
+            ar = autoregressive_generate(target, prompt, 48)
             assert spd == ar
 
     def test_trace_accounting(self):
@@ -606,12 +624,12 @@ class TestSpdGenerate:
         draft = TextOnlyDraftLm(train_ngram([[0, 1, 3, 0]], order=2, alpha=0.1, vocab=vocab))
         prompt = MultimodalPrompt((), (0,))
         out, trace = spd_generate(target, draft, prompt, SpdConfig(gamma=3, mode="greedy"), None)
-        assert out == [1, 3] == autoregressive_generate(target, prompt, 64, "greedy")
+        assert out == [1, 3] == autoregressive_generate(target, prompt, 64)
         assert trace.blocks == [BlockRecord((1, 3, 0), 2, (1, 3), "greedy-correction")]
 
     def test_greedy_runs_never_read_the_rng(self):
-        """Greedy SPD and baseline runs given no rng return the tokens and
-        trace they return with a real state."""
+        """Greedy SPD runs given no rng return the tokens and trace they
+        return with a real state."""
         rng = np.random.default_rng(76)
         for trial in range(20):
             vocab = random_vocab(rng)
@@ -621,8 +639,6 @@ class TestSpdGenerate:
             assert spd_generate(target, draft, prompt, cfg, None) == spd_generate(
                 target, draft, prompt, cfg, RngState(trial)
             )
-            ar = autoregressive_generate(target, prompt, 32, "greedy", None)
-            assert ar == autoregressive_generate(target, prompt, 32, "greedy", RngState(trial))
 
     def test_stochastic_requires_rng(self):
         rng = np.random.default_rng(77)
@@ -659,8 +675,8 @@ class TestAutoregressive:
             target, _ = make_pair(rng, vocab, views=(SpyTarget, SpyDraft))
             lookups = record_lookups(target)
             prompt = random_prompt(rng, vocab)
-            mode, stop_on_eos = ("greedy", "stochastic")[trial % 2], trial % 4 < 2
-            out = autoregressive_generate(target, prompt, 16, mode, RngState(trial), stop_on_eos=stop_on_eos)
+            stream, stop_on_eos = (None, RngState(trial))[trial % 2], trial % 4 < 2
+            out = autoregressive_generate(target, prompt, 16, stream, stop_on_eos=stop_on_eos)
             assert len(out) == 16 or (stop_on_eos and out[-1] == vocab.eos)
             assert target.queries == Counter(next_dist=1)
             walk_lookups = len(lookups) - 1  # the first lookup is next_dist's own
@@ -673,22 +689,34 @@ class TestAutoregressive:
         seqs, vocab = bundled_corpus()
         target = MultimodalTargetLm(train_ngram(seqs, 3, 0.1, vocab))
         prompt = MultimodalPrompt((1, 2, 3), tuple(CharTokenizer().encode("the ")))
-        want = autoregressive_generate(target, prompt, 256, "stochastic", RngState(0))
+        want = autoregressive_generate(target, prompt, 256, RngState(0))
         tracemalloc.start()
         try:
-            out = autoregressive_generate(target, prompt, 65536, "stochastic", RngState(0))
+            out = autoregressive_generate(target, prompt, 65536, RngState(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out == want and len(out) < 256 and out[-1] == vocab.eos
         assert peak < 1 << 16
 
-    def test_stochastic_requires_rng(self):
+    def test_no_stream_is_the_greedy_baseline(self):
+        """A baseline with no stream is the target's argmax walk, and one with
+        a stream is its sampled walk with the same draws, with or without the
+        EOS stop; the two differ on some instances."""
         rng = np.random.default_rng(72)
-        vocab = random_vocab(rng)
-        target, _ = make_pair(rng, vocab)
-        with pytest.raises(ValueError):
-            autoregressive_generate(target, random_prompt(rng, vocab), 4, "stochastic")
+        differs = 0
+        for trial in range(20):
+            vocab = random_vocab(rng)
+            target, _ = make_pair(rng, vocab)
+            prompt = random_prompt(rng, vocab)
+            stop_on_eos = trial % 2 == 0
+            stop = vocab.eos if stop_on_eos else None
+            greedy = autoregressive_generate(target, prompt, 16, stop_on_eos=stop_on_eos)
+            assert greedy == loop_walk(target, prompt, [], 16, None, stop)[0]
+            sampled = autoregressive_generate(target, prompt, 16, RngState(trial), stop_on_eos=stop_on_eos)
+            assert sampled == loop_walk(target, prompt, [], 16, RngState(trial), stop)[0]
+            differs += sampled != greedy
+        assert differs
 
 
 class TestWindowSizedQueries:
@@ -712,7 +740,8 @@ class TestWindowSizedQueries:
             cfg = SpdConfig(gamma=3, mode=mode, max_new_tokens=128, stop_on_eos=False)
             out, _ = spd_generate(target, draft, prompt, cfg, RngState(5))
             assert len(out) == 128
-            ar = autoregressive_generate(target, prompt, 128, mode, RngState(6), stop_on_eos=False)
+            stream = None if mode == "greedy" else RngState(6)
+            ar = autoregressive_generate(target, prompt, 128, stream, stop_on_eos=False)
             assert len(ar) == 128
         for base in (target_base, draft_base):
             mod = (vocab.size + 1) ** (base.order - 1)

@@ -729,6 +729,22 @@ class TestTrainModels:
         assert len(calls) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("orders", [(True, 2), (3, 2.0)], ids=["boolean", "float"])
+    def test_rejects_non_integer_order_before_training(self, tmp_path, orders):
+        """Unchecked, True wrote a target file the loader refuses and 2.0
+        failed inside numpy as a bare TypeError."""
+        bad = next(order for order in orders if type(order) is not int)
+        with pytest.raises(TrainingError, match=f"^order must be an integer, got {bad!r}$"):
+            train_models(demo_corpus_path(), tmp_path, target_order=orders[0], draft_order=orders[1])
+        assert not list(tmp_path.iterdir())
+
+    def test_numpy_orders_write_the_files_of_their_ints(self, model_dir, tmp_path):
+        """Unchecked, a numpy order was counted, then failed at the write as
+        ``Object of type int64 is not JSON serializable``."""
+        train_models(demo_corpus_path(), tmp_path, target_order=np.int64(3), draft_order=np.int32(2))
+        for name in ("target.json", "draft.json"):
+            assert (tmp_path / name).read_bytes() == (model_dir / name).read_bytes()
+
     @pytest.mark.parametrize("orders", [(0, 2), (3, -1)])
     def test_rejects_order_below_one_before_training(self, tmp_path, orders):
         with pytest.raises(TrainingError, match=f"order must be >= 1, got {min(orders)}"):

@@ -89,6 +89,29 @@ class TestTrainNgram:
         with pytest.raises(TrainingError, match=re.escape(reason)):
             train_ngram(corpus, 2, 0.1, Vocab(5, 4))
 
+    @pytest.mark.parametrize("order", [2.0, True, "3"], ids=["float", "boolean", "string"])
+    def test_rejects_non_integer_order(self, order):
+        """Refused by name; unchecked, 2.0 failed inside numpy as a bare
+        TypeError and True trained a model whose file the loader refuses."""
+        with pytest.raises(TrainingError, match=f"^order must be an integer, got {re.escape(repr(order))}$"):
+            train_ngram([[0, 1]], order, 0.1, VOCAB2)
+
+    def test_numpy_order_is_stored_as_an_int(self):
+        """A numpy order is stored as an int, so ``code_mod`` does not wrap in
+        int64 at V = 70,000 and the view serves the trained row of the context
+        (1, 2, 3, 4), not the uniform row."""
+        m = train_ngram([[1, 2, 3, 4, 5]], np.int64(5), 0.1, Vocab(70000, 0))
+        assert type(m.order) is int and m.code_mod == 70001**4
+        row = MultimodalTargetLm(m).next_dist(MultimodalPrompt((), (1, 2, 3, 4)))
+        assert row is m.rows[code((1, 2, 3, 4), 70000)] and row._top == 5
+
+    @pytest.mark.parametrize("alpha", ["0.1", True, None, np.int64(1)], ids=["string", "boolean", "null", "numpy"])
+    def test_rejects_alpha_that_is_not_a_number(self, alpha):
+        """The model's alpha rule, the loader's too: an int or a float, never
+        a bool; unchecked, ``float()`` made "0.1" and True 0.1 and 1.0."""
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {re.escape(repr(alpha))}$"):
+            train_ngram([[0, 1]], 2, alpha, VOCAB2)
+
     @pytest.mark.parametrize("order", [0, -3])
     def test_rejects_order_below_one(self, order):
         with pytest.raises(TrainingError, match=re.escape(f"order must be >= 1, got {order}")):
@@ -328,7 +351,7 @@ class TestRowMemo:
         prompt = random_prompt(rng, vocab)
         cfg = SpdConfig(gamma=3, mode="stochastic", max_new_tokens=128, stop_on_eos=False)
         out, _ = spd_generate(target, draft, prompt, cfg, RngState(3))
-        ar = autoregressive_generate(target, prompt, 128, "stochastic", RngState(4), stop_on_eos=False)
+        ar = autoregressive_generate(target, prompt, 128, RngState(4), stop_on_eos=False)
         assert len(out) == len(ar) == 128
         assert any(code(seq[i : i + 2], vocab.size) not in rows for seq in (out, ar) for i in range(126))
         assert base.rows is rows and len(rows) == size == len(base.contexts)

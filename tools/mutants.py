@@ -130,6 +130,12 @@ MUTANTS = [
            "autoregressive_generate takes a float max_new_tokens"),
     Mutant(E, "if type(stop_on_eos) is not bool:", "if False:",
            "autoregressive_generate takes a non-bool stop_on_eos"),
+    # Greedy is no stream.
+    Mutant(E, "rng, stop)[0]", "None, stop)[0]",
+           "autoregressive_generate drops its stream, so a stochastic baseline is greedy"),
+    Mutant(E, "draft.walk(prompt, generated, gamma, rng, None, key)",
+           "draft.walk(prompt, generated, gamma, None, None, key)",
+           "draft_block drops its stream, so a stochastic block is greedy"),
     # Codes carried through a speculative run.
     Mutant(E, "_shift_pair(draft, target, draft_key, target_key, emitted)",
            "_shift_pair(draft, target, draft_key, target_key, emitted[:-1])",
@@ -174,6 +180,16 @@ MUTANTS = [
            "NgramLm skips the width check"),
     Mutant(M, "if not set(map(type, chain.from_iterable(contexts))) <= {int}:", "if False:",
            "NgramLm takes a float, bool or numpy context id"),
+    Mutant(C, 'object.__setattr__(self, "size", as_integer("vocab size", self.size))',
+           'as_integer("vocab size", self.size)',
+           "Vocab keeps a numpy size unconverted"),
+    Mutant(M, 'order = as_integer("order", order)', 'as_integer("order", order)',
+           "NgramLm keeps a numpy order unconverted"),
+    Mutant(M, "if bad := [order for order in orders if not is_integer(order)]:", "if bad := []:",
+           "training takes a float or bool order"),
+    Mutant(M, "if type(alpha) is bool or not isinstance(alpha, (int, float)):",
+           "if not isinstance(alpha, (int, float)):",
+           "NgramLm takes a bool alpha"),
     Mutant(M, "ranked = np.lexsort(columns[::-1])", "ranked = np.lexsort(columns)",
            "training numbers the contexts sorted newest id first"),
     Mutant(M, '"contexts": list(map(list, model.contexts)),', '"contexts": sorted(map(list, model.contexts)),',
